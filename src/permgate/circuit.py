@@ -1,25 +1,28 @@
-"""Reversible-circuit IR, wire embedding, and the peephole optimizer.
+"""Reversible-circuit IR, circuit semantics, and the peephole optimizer.
 
 Circuits are ordered gate instances over n wires, leftmost applied first.
 Wire w is bit w of the 2**n basis index (wire 0 = least significant).  In
 an instance's wire list the first wire carries the gate's most significant
 index bit, so `gate CNOT c t` has its control first and `CNOT` itself is
-the permutation (1,2,4,3).
+the permutation (1,2,4,3).  circuit_permutation is the one routine that
+maps a circuit to its permutation.
 
 Rewriting never widens a circuit: adjacent mutually-inverse pairs on the
 same wires are deleted, and any window matching a strict majority of a
 stored identity template (read cyclically) is replaced by the inverted
 remainder, which is always shorter.  Both passes preserve the circuit's
-permutation by construction, and the optimizer re-checks that before
-returning.
+permutation by construction; the CLI's optimize command re-checks that
+with circuit_permutation before it writes the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionError, FileFormatError, WiringError
-from .perm import Permutation
+import numpy as np
+
+from .errors import DimensionError, FileFormatError, WiringError, _read_ascii
+from .perm import Permutation, _product
 from .templates import TemplateStore
 
 WIRE_CAP = 12
@@ -131,42 +134,23 @@ class Circuit:
         )
 
 
-def embed(gate: Permutation, wires, n_wires: int) -> Permutation:
-    """Lift a k-qubit gate to n wires: apply it to the index bits selected
-    by `wires` (first wire = gate's top bit) and fix every other bit."""
-    wires = tuple(wires)
-    k = gate.size.bit_length() - 1
-    if gate.size != 2 ** k:
-        raise DimensionError(f"gate dimension {gate.size} is not a power of two")
-    if len(wires) != k:
-        raise WiringError(f"gate on {k} qubits wired to {len(wires)} wires")
-    if len(set(wires)) != len(wires):
-        raise WiringError(f"repeated wire in {wires}")
-    if any(not 0 <= w < n_wires for w in wires):
-        raise WiringError(f"wire out of range 0..{n_wires - 1} in {wires}")
-    # wires[t] carries local bit k-1-t
-    bit_of = [(w, k - 1 - t) for t, w in enumerate(wires)]
-    clear = ~sum(1 << w for w in wires)
-    images = []
-    for x in range(2 ** n_wires):
-        local = 0
-        for w, b in bit_of:
-            local |= (x >> w & 1) << b
-        mapped = gate(local)
-        y = x & clear
-        for w, b in bit_of:
-            y |= (mapped >> b & 1) << w
-        images.append(y)
-    return Permutation(images)
-
-
 def circuit_permutation(circuit: Circuit) -> Permutation:
     """The circuit's denotation on 2**n basis indices (leftmost gate first);
-    an empty circuit denotes the identity."""
-    out = Permutation.identity(2 ** circuit.n_wires)
+    an empty circuit denotes the identity.
+
+    All basis indices go through each gate at once: the gate gathers the
+    bits on its wires into a local index (first wire = top bit), maps it,
+    and scatters the image's bits back, leaving every other bit fixed.
+    """
+    x = np.arange(2 ** circuit.n_wires)
     for inst in circuit.gates:
-        out = embed(inst.gate.perm, inst.wires, circuit.n_wires) * out
-    return out
+        k = len(inst.wires)
+        bits = [(w, k - 1 - t) for t, w in enumerate(inst.wires)]
+        local = sum((x >> w & 1) << b for w, b in bits)
+        mapped = np.asarray(inst.gate.perm.images)[local]
+        kept = x & ~sum(1 << w for w in inst.wires)
+        x = kept | sum((mapped >> b & 1) << w for w, b in bits)
+    return Permutation(x.tolist())
 
 
 def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
@@ -182,40 +166,35 @@ def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n_wires, out, force=True)
 
 
-def _compose_run(gates, start: int, count: int) -> Permutation:
-    out = Permutation.identity(gates[start].gate.perm.size)
-    for i in range(start, start + count):
-        out = gates[i].gate.perm * out
-    return out
-
-
-def _find_rewrite(circuit: Circuit, templates):
+def _find_rewrite(circuit: Circuit, templates, dimension: int):
     """First applicable rewrite under the fixed scan order: leftmost window,
     longest template first (then store order), largest match, first cyclic
     offset.  Returns (start, matched_len, replacement_gates) or None."""
     gates = circuit.gates
+    longest = max((len(t.gates) for t in templates), default=0)
     for start in range(len(gates)):
         wires = gates[start].wires
+        if 2 ** len(wires) != dimension:
+            continue
         run = 1
-        while start + run < len(gates) and gates[start + run].wires == wires:
+        while (run < longest and start + run < len(gates)
+               and gates[start + run].wires == wires):
             run += 1
-        local_dim = 2 ** len(wires)
+        # a match covers more than half of a template of 2+ gates
+        if run < 2:
+            continue
+        windows = [_product((g.gate.perm for g in gates[start:start + p]), dimension)
+                   for p in range(run + 1)]
         for t in templates:
-            if t.dimension != local_dim:
-                continue
             m = len(t.gates)
+            cyclic = t.gates * 2
             for p in range(min(m, run), m // 2, -1):
-                window = _compose_run(gates, start, p)
                 for offset in range(m):
-                    seg = Permutation.identity(local_dim)
-                    for i in range(p):
-                        seg = t.gates[(offset + i) % m] * seg
-                    if seg != window:
+                    if _product(cyclic[offset:offset + p], dimension) != windows[p]:
                         continue
-                    rest = [t.gates[(offset + p + i) % m] for i in range(m - p)]
                     replacement = [
                         GateInstance(named_gate(g.inverse()), wires)
-                        for g in reversed(rest)
+                        for g in reversed(cyclic[offset + p:offset + m])
                     ]
                     return start, p, replacement
     return None
@@ -252,7 +231,7 @@ def _template_rewrite_counted(circuit, store, budget):
     )
     applied = 0
     while applied < budget:
-        hit = _find_rewrite(circuit, templates)
+        hit = _find_rewrite(circuit, templates, store.dimension)
         if hit is None:
             break
         start, count, replacement = hit
@@ -349,8 +328,10 @@ def parse_circuit(text: str, force: bool = False) -> Circuit:
                 n_wires = int(fields[1])
             except ValueError:
                 raise FileFormatError(lineno, f"bad wire count {fields[1]!r}") from None
-            if n_wires < 1:
-                raise FileFormatError(lineno, f"invalid wire count {n_wires}")
+            try:
+                Circuit(n_wires, force=force)
+            except DimensionError as exc:
+                raise FileFormatError(lineno, str(exc)) from None
             continue
         if fields[0] == "gate":
             if len(fields) < 2:
@@ -395,5 +376,4 @@ def save_circuit(circuit: Circuit, path) -> None:
 
 
 def load_circuit(path, force: bool = False) -> Circuit:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_circuit(fh.read(), force=force)
+    return parse_circuit(_read_ascii(path), force=force)

@@ -12,7 +12,9 @@ usage error (exit 2), since exit 1 there means "circuits differ".
 from __future__ import annotations
 
 import argparse
+import decimal
 import itertools
+import math
 import sys
 
 from . import circuit as circ
@@ -77,20 +79,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _digits(n: int) -> str:
+    """Decimal digits of n, exact at any size: int-to-str refuses past the
+    interpreter's digit limit (4300 by default; 2048! has 5895 digits), and
+    raising that limit would change it for the whole process."""
+    return str(decimal.Decimal(n))
+
+
 def _cmd_stats(args, parser) -> int:
     if not 1 <= args.qubits <= counting.MAX_QUBITS:
         parser.error(f"--qubits must be in 1..{counting.MAX_QUBITS}")
     if not 0 <= args.decimals <= counting.MAX_DECIMALS:
         parser.error(f"--decimals must be in 0..{counting.MAX_DECIMALS}")
     dim = 2 ** args.qubits
-    total = counting.factorial(dim)
+    total = math.factorial(dim)
     hermitian = counting.involution_count(dim)
     ratio = counting.non_hermitian_fraction(args.qubits)
     print(f"qubits={args.qubits}")
     print(f"dimension={dim}")
-    print(f"total={total}")
-    print(f"hermitian={hermitian}")
-    print(f"non_hermitian={total - hermitian}")
+    print(f"total={_digits(total)}")
+    print(f"hermitian={_digits(hermitian)}")
+    print(f"non_hermitian={_digits(total - hermitian)}")
     print(f"non_hermitian_percent={render_percent(ratio, args.decimals)}")
     return 0
 
@@ -139,12 +148,12 @@ def _cmd_templates(args, parser) -> int:
         parser.error("--dimension must be a power of two >= 2")
     if not 2 <= args.max_size <= MAX_TEMPLATE_SIZE:
         parser.error(f"--max-size must be in 2..{MAX_TEMPLATE_SIZE}")
-    library = GateLibrary.symmetric_group(m, force=args.force)
-    if len(library) > MULT_TABLE_CAP and not args.force:
+    if math.factorial(m) > MULT_TABLE_CAP and not args.force:
         raise CapExceeded(
-            f"S_{m} library has {len(library)} gates, over the cap of "
+            f"S_{m} library has {math.factorial(m)} gates, over the cap of "
             f"{MULT_TABLE_CAP}; pass --force to override"
         )
+    library = GateLibrary.symmetric_group(m, force=args.force)
     store = generate_templates(library, args.max_size)
     save_store(store, args.out)
     print(f"templates={len(store)}")

@@ -39,13 +39,6 @@ def involution_count(m: int) -> int:
     return prev1
 
 
-def factorial(m: int) -> int:
-    """Exact m!."""
-    if m < 0:
-        raise ValueError(f"negative count argument {m}")
-    return math.factorial(m)
-
-
 def non_hermitian_fraction(n_qubits: int) -> Fraction:
     """Exact fraction of n-qubit permutation gates that are not self-inverse.
 
@@ -58,7 +51,7 @@ def non_hermitian_fraction(n_qubits: int) -> Fraction:
             f"qubit count {n_qubits} out of range 1..{MAX_QUBITS}"
         )
     dim = 2 ** n_qubits
-    total = factorial(dim)
+    total = math.factorial(dim)
     return Fraction(total - involution_count(dim), total)
 
 

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Everything raised on purpose derives from PermGateError so callers (the CLI
-in particular) can distinguish domain failures from bugs.
+in particular) can distinguish domain failures from bugs.  Input files
+are read through _read_ascii, so an encoding fault is a FileFormatError
+too.
 """
 
 
@@ -38,3 +40,16 @@ class FileFormatError(PermGateError, ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def _read_ascii(path) -> str:
+    """The text of an ASCII circuit or template file; a non-ASCII byte is a
+    FileFormatError naming the byte's 1-based line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FileFormatError(
+            line, f"non-ASCII byte 0x{data[exc.start]:02x}") from None

@@ -108,9 +108,6 @@ class Permutation:
             )
         return Permutation(self._images[j] for j in other._images)
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        return self * other
-
     def inverse(self) -> "Permutation":
         inv = [0] * len(self._images)
         for j, img in enumerate(self._images):
@@ -150,6 +147,16 @@ class Permutation:
 
     def __str__(self) -> str:
         return self.one_line()
+
+
+def _product(perms: Iterable[Permutation], size: int) -> Permutation:
+    """Leftmost-first product of permutations on `size` points: the last
+    one is applied last, and no permutations give the identity."""
+    images = range(size)
+    for p in perms:
+        step = p._images
+        images = [step[j] for j in images]
+    return Permutation(images)
 
 
 def check_enumeration_cap(size: int, force: bool = False) -> None:

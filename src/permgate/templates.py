@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import warnings
 
-from .errors import CapExceeded, ClosureError, DimensionError, FileFormatError
-from .perm import Permutation, enumerate_permutations
+from .errors import (CapExceeded, ClosureError, DimensionError,
+                     FileFormatError, _read_ascii)
+from .perm import Permutation, _product, enumerate_permutations
 
 MULT_TABLE_CAP = 720  # |S_6|
 MAX_TEMPLATE_SIZE = 6
@@ -140,10 +141,7 @@ class Template:
 
     def composition(self) -> Permutation:
         """Leftmost gate applied first."""
-        out = Permutation.identity(self.dimension)
-        for g in self.gates:
-            out = g * out
-        return out
+        return _product(self.gates, self.dimension)
 
     def verifies(self) -> bool:
         return self.composition().is_identity()
@@ -177,10 +175,6 @@ class Template:
 
     def __repr__(self) -> str:
         return f"Template[{self.one_line()}]"
-
-
-def verify_template(t: Template) -> bool:
-    return t.verifies()
 
 
 def two_gate_templates(library: GateLibrary) -> list[Template]:
@@ -348,7 +342,10 @@ def parse_store(text: str) -> TemplateStore:
         dimension = int(lines[0].split("=", 1)[1])
     except ValueError:
         raise FileFormatError(1, f"bad dimension in header {lines[0]!r}") from None
-    store = TemplateStore(dimension)
+    try:
+        store = TemplateStore(dimension)
+    except DimensionError as exc:
+        raise FileFormatError(1, str(exc)) from None
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -377,5 +374,4 @@ def save_store(store: TemplateStore, path) -> None:
 
 
 def load_store(path) -> TemplateStore:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_store(fh.read())
+    return parse_store(_read_ascii(path))

@@ -10,7 +10,6 @@ from permgate.circuit import (
     GateInstance,
     cancel_adjacent_inverses,
     circuit_permutation,
-    embed,
     format_circuit,
     load_circuit,
     named_gate,
@@ -53,7 +52,7 @@ def random_circuit(rng: random.Random, n_wires: int, length: int) -> Circuit:
     gates = []
     for _ in range(length):
         if rng.random() < 0.3:
-            k = rng.randint(1, min(2, n_wires))
+            k = rng.randint(1, min(3, n_wires))
             images = list(range(2 ** k))
             rng.shuffle(images)
             gate = Gate(Permutation(images))
@@ -122,9 +121,17 @@ class TestInstanceAndCircuit:
             Circuit(0)
 
 
+def lift(perm: Permutation, wires, n_wires: int) -> Permutation:
+    """The permutation of an n-wire circuit holding one gate on `wires`."""
+    return circuit_permutation(
+        Circuit(n_wires, [GateInstance(Gate(perm), tuple(wires))]))
+
+
 class TestEmbed:
+    """How one gate acts on its wires of a wider circuit."""
+
     def test_not_on_low_wire(self):
-        lifted = embed(Permutation([1, 0]), [0], 2)
+        lifted = lift(Permutation([1, 0]), [0], 2)
         assert lifted.images == (1, 0, 3, 2)
         # tensor-structure oracle: wire 0 is the low-order index bit
         expected = np.kron(np.eye(2, dtype=np.uint8),
@@ -132,24 +139,24 @@ class TestEmbed:
         assert np.array_equal(lifted.matrix(), expected)
 
     def test_not_on_high_wire(self):
-        lifted = embed(Permutation([1, 0]), [1], 2)
+        lifted = lift(Permutation([1, 0]), [1], 2)
         expected = np.kron(np.array([[0, 1], [1, 0]], dtype=np.uint8),
                            np.eye(2, dtype=np.uint8))
         assert np.array_equal(lifted.matrix(), expected)
 
     def test_identity_lifts_to_identity(self):
         for wire in range(3):
-            assert embed(Permutation.identity(2), [wire], 3) == \
+            assert lift(Permutation.identity(2), [wire], 3) == \
                 Permutation.identity(8)
 
     def test_identity_wiring(self):
         cnot = Permutation.from_one_line("(1,2,4,3)")
-        assert embed(cnot, [1, 0], 2) == cnot
+        assert lift(cnot, [1, 0], 2) == cnot
 
     def test_wire_order_conjugates(self):
         cnot = Permutation.from_one_line("(1,2,4,3)")
         swap = Permutation([0, 2, 1, 3])
-        assert embed(cnot, [0, 1], 2) == swap * cnot * swap
+        assert lift(cnot, [0, 1], 2) == swap * cnot * swap
 
     def test_homomorphism(self):
         rng = random.Random(3)
@@ -160,19 +167,19 @@ class TestEmbed:
             rng.shuffle(b)
             g, h = Permutation(a), Permutation(b)
             wires = tuple(rng.sample(range(4), 2))
-            assert embed(g * h, wires, 4) == \
-                embed(g, wires, 4) * embed(h, wires, 4)
+            assert lift(g * h, wires, 4) == \
+                lift(g, wires, 4) * lift(h, wires, 4)
 
     def test_wiring_errors(self):
         x = Permutation([1, 0])
         with pytest.raises(WiringError):
-            embed(x, [0, 1], 2)  # arity
+            lift(x, [0, 1], 2)  # arity
         with pytest.raises(WiringError):
-            embed(x, [3], 2)  # range
+            lift(x, [3], 2)  # range
         with pytest.raises(WiringError):
-            embed(Permutation.identity(4), [1, 1], 2)  # collision
+            lift(Permutation.identity(4), [1, 1], 2)  # collision
         with pytest.raises(DimensionError):
-            embed(Permutation.identity(3), [0], 2)  # not a power of two
+            lift(Permutation.identity(3), [0], 2)  # not a power of two
 
 
 class TestCircuitPermutation:
@@ -197,8 +204,8 @@ class TestCircuitPermutation:
 
     def test_propagation_oracle_random(self):
         rng = random.Random(17)
-        for _ in range(30):
-            n = rng.randint(1, 3)
+        for trial in range(30):
+            n = trial % 12 + 1
             c = random_circuit(rng, n, rng.randint(0, 12))
             perm = circuit_permutation(c)
             for x in range(2 ** n):
@@ -268,6 +275,8 @@ class TestTemplateRewrite:
     def test_no_match_unchanged(self, s4_store):
         c = Circuit(2, [inst(SWAP, 0, 1)])
         assert template_rewrite(c, s4_store) == c
+        pair = Circuit(2, [inst(CNOT, 0, 1), inst(CNOT, 0, 1)])
+        assert template_rewrite(pair, TemplateStore(4)) == pair
 
     def test_wire_tuple_must_match(self, s4_store):
         # the two windows land on different wire tuples, so no rewrite
@@ -380,6 +389,13 @@ class TestCircuitFiles:
             parse_circuit("gate X 0\n")
         with pytest.raises(FileFormatError, match="line 1"):
             parse_circuit("")
+
+    def test_header_errors_carry_line(self):
+        with pytest.raises(FileFormatError, match="line 2: 13 wires exceeds the cap"):
+            parse_circuit("# wide\nqubits 13\ngate X 12\n")
+        with pytest.raises(FileFormatError, match="line 1: invalid wire count 0"):
+            parse_circuit("qubits 0\n")
+        assert parse_circuit("qubits 13\ngate X 12\n", force=True).n_wires == 13
 
     def test_unknown_gate(self):
         with pytest.raises(FileFormatError, match="line 2: unknown gate 'FOO'"):

@@ -1,7 +1,10 @@
+import decimal
+import math
+
 import pytest
 
 from permgate.cli import main
-from permgate.templates import load_store
+from permgate.templates import GateLibrary, load_store
 
 NON_INVOLUTIONS_4 = [
     "(1,3,4,2)", "(1,4,2,3)", "(2,3,1,4)", "(2,3,4,1)", "(2,4,1,3)",
@@ -42,6 +45,15 @@ class TestStats:
         with pytest.raises(SystemExit) as exc:
             main(["stats", "--qubits", "2", "--decimals", "51"])
         assert exc.value.code == 2
+
+    def test_counts_past_the_int_digit_limit(self, capsys):
+        # 2048! has 5895 digits, past the default int-to-str limit of 4300
+        code, out, err = run(capsys, "stats", "--qubits", "11")
+        assert code == 0
+        assert err == ""
+        total = next(line for line in out.splitlines()
+                     if line.startswith("total="))
+        assert int(decimal.Decimal(total[len("total="):])) == math.factorial(2048)
 
     def test_byte_determinism(self, capsys):
         _, first, _ = run(capsys, "stats", "--qubits", "4")
@@ -159,7 +171,11 @@ class TestTemplates:
                   "--out", str(tmp_path / "x.tmpl")])
         assert exc.value.code == 2
 
-    def test_oversize_library_is_domain_error(self, capsys, tmp_path):
+    def test_oversize_library_is_domain_error(self, capsys, tmp_path, monkeypatch):
+        def refuse(cls, *args, **kwargs):
+            pytest.fail("the S_8 library was built before the cap check")
+
+        monkeypatch.setattr(GateLibrary, "symmetric_group", classmethod(refuse))
         code, _, err = run(capsys, "templates", "--dimension", "8",
                            "--max-size", "2", "--out", str(tmp_path / "x.tmpl"))
         assert code == 1
@@ -221,6 +237,17 @@ class TestOptimize:
         assert "line 2" in err
         assert not (tmp_path / "o.circ").exists()
 
+    def test_non_ascii_store_exit_one(self, capsys, tmp_path):
+        circ = tmp_path / "c.circ"
+        circ.write_text("qubits 1\ngate X 0\n")
+        store = tmp_path / "bad.tmpl"
+        store.write_bytes(b"templates dim=2\n# caf\xc3\xa9\ntemplate: (2,1);(2,1)\n")
+        code, _, err = run(capsys, "optimize", "--circuit", str(circ),
+                           "--templates", str(store),
+                           "--out", str(tmp_path / "o.circ"))
+        assert code == 1
+        assert err == "error: line 2: non-ASCII byte 0xc3\n"
+
     def test_missing_file_exit_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "optimize",
                            "--circuit", str(tmp_path / "nope.circ"),
@@ -280,6 +307,17 @@ class TestVerify:
                            "--circuit", str(b))
         assert code == 2
         assert "line 1" in err
+
+    def test_non_ascii_circuit_exit_two(self, capsys, tmp_path):
+        a = tmp_path / "a.circ"
+        b = tmp_path / "b.circ"
+        a.write_bytes(b"qubits 2\n# caf\xc3\xa9\ngate CNOT 0 1\n")
+        b.write_text("qubits 2\ngate CNOT 0 1\n")
+        code, out, err = run(capsys, "verify", "--circuit", str(a),
+                             "--circuit", str(b))
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 2: non-ASCII byte 0xc3\n"
 
     def test_over_cap_wire_count_exit_two(self, capsys, tmp_path):
         a = tmp_path / "a.circ"

@@ -1,9 +1,9 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from permgate.counting import (
-    factorial,
     involution_count,
     non_hermitian_fraction,
     render_percent,
@@ -67,19 +67,6 @@ class TestInvolutionCount:
             a = involution_count(m)
             assert a <= factorial(m)
             assert (a == factorial(m)) == (m <= 2)
-
-
-class TestFactorial:
-    def test_small(self):
-        assert factorial(0) == 1
-        assert factorial(4) == 24
-
-    def test_repeated_multiplication_oracle(self):
-        acc = 1
-        for k in range(1, 9):
-            acc *= k
-            assert factorial(k) == acc
-        assert factorial(8) == 40320
 
 
 class TestNonHermitianFraction:

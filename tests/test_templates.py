@@ -21,7 +21,6 @@ from permgate.templates import (
     parse_store,
     save_store,
     two_gate_templates,
-    verify_template,
 )
 
 
@@ -181,13 +180,13 @@ class TestExpandTemplate:
 class TestTemplate:
     def test_verify_self_inverse_pair(self):
         x = Permutation([1, 0])
-        assert verify_template(Template((x, x)))
+        assert Template((x, x)).verifies()
         cnot = Permutation.from_one_line("(1,2,4,3)")
-        assert verify_template(Template((cnot, cnot)))
+        assert Template((cnot, cnot)).verifies()
 
     def test_verify_rejects_non_identity(self):
         p = Permutation.from_one_line("(2,3,1,4)")
-        assert not verify_template(Template((p, p)))
+        assert not Template((p, p)).verifies()
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -332,6 +331,8 @@ class TestStoreFiles:
             parse_store("dim=4\n")
         with pytest.raises(FileFormatError, match="line 1"):
             parse_store("")
+        with pytest.raises(FileFormatError, match="line 1: invalid dimension 0"):
+            parse_store("templates dim=0")
 
     def test_loader_rejects_bad_notation(self):
         text = "templates dim=2\ntemplate: (2,1);(2,x)\n"
