@@ -16,6 +16,7 @@ import decimal
 import itertools
 import math
 import sys
+from fractions import Fraction
 
 from . import circuit as circ
 from . import counting
@@ -53,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true",
                    help="override the dimension cap")
 
-    p = sub.add_parser("classify", help="exhaustive Hermitian/separable census")
+    p = sub.add_parser("classify", help="exact Hermitian/separable census")
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--decimals", type=int, default=2)
     p.add_argument("--force", action="store_true",
@@ -94,7 +95,7 @@ def _cmd_stats(args, parser) -> int:
     dim = 2 ** args.qubits
     total = math.factorial(dim)
     hermitian = counting.involution_count(dim)
-    ratio = counting.non_hermitian_fraction(args.qubits)
+    ratio = Fraction(total - hermitian, total)
     print(f"qubits={args.qubits}")
     print(f"dimension={dim}")
     print(f"total={_digits(total)}")
@@ -130,11 +131,11 @@ def _cmd_classify(args, parser) -> int:
         parser.error(f"--decimals must be in 0..{counting.MAX_DECIMALS}")
     report = classify_all(args.qubits, force=args.force)
     print(f"qubits={report.n_qubits}")
-    print(f"total={report.total}")
-    print(f"hermitian={report.hermitian_count}")
-    print(f"non_hermitian={report.non_hermitian_count}")
-    print(f"separable={report.separable_count}")
-    print(f"entangled={report.entangled_count}")
+    print(f"total={_digits(report.total)}")
+    print(f"hermitian={_digits(report.hermitian_count)}")
+    print(f"non_hermitian={_digits(report.non_hermitian_count)}")
+    print(f"separable={_digits(report.separable_count)}")
+    print(f"entangled={_digits(report.entangled_count)}")
     print("non_hermitian_percent="
           + render_percent(report.non_hermitian_fraction, args.decimals))
     print("entangled_percent="

@@ -66,13 +66,6 @@ class GateLibrary:
     def index_of(self, gate: Permutation) -> int:
         return self._index[gate]
 
-    def is_group_closed(self) -> bool:
-        try:
-            self.require_group_closed()
-        except ClosureError:
-            return False
-        return True
-
     def require_group_closed(self) -> None:
         """Check closure under composition and inverse."""
         for name, g in zip(self.names, self.gates):
@@ -257,8 +250,7 @@ class TemplateStore:
         """True if t contains a stored shorter template as a contiguous
         cyclic factor."""
         n = len(t.gates)
-        stored_sizes = sorted({len(s.gates) for s in self.templates if len(s.gates) < n})
-        for size in stored_sizes:
+        for size in range(2, n):
             for off in range(n):
                 window = tuple(t.gates[(off + k) % n] for k in range(size))
                 cand = Template(window)
@@ -361,10 +353,10 @@ def parse_store(text: str) -> TemplateStore:
             raise FileFormatError(lineno, f"gate dimension differs from dim={dimension}")
         if len(gates) < 2:
             raise FileFormatError(lineno, "template needs at least 2 gates")
-        t = Template(gates)
-        if not t.verifies():
-            raise FileFormatError(lineno, "template does not compose to identity")
-        store.add(t)
+        try:
+            store.add(Template(gates))
+        except ValueError as exc:
+            raise FileFormatError(lineno, str(exc)) from None
     return store
 
 

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import math
+
 import pytest
 
 from permgate.classify import (
@@ -37,6 +39,32 @@ def product_gate(a: Permutation, b: Permutation) -> Permutation:
         lo, hi = x & 1, x >> 1
         images.append(a(lo) | b(hi) << 1)
     return Permutation(images)
+
+
+def set_partitions(items):
+    """Every set partition of items, as a list of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def mobius_separable(n):
+    """Oracle: gates factoring across some bipartition, by Mobius inversion
+    over the set partitions of the wires, mu(sigma, top) = (-1)^(k-1)(k-1)!
+    for k blocks (Stanley, EC1 3.7); every 1-qubit gate is separable."""
+    total = math.factorial(2 ** n)
+    if n == 1:
+        return total
+    entangled = sum(
+        (-1) ** (len(part) - 1) * math.factorial(len(part) - 1)
+        * math.prod(math.factorial(2 ** len(block)) for block in part)
+        for part in set_partitions(list(range(n))))
+    return total - entangled
 
 
 class TestHermitian:
@@ -164,6 +192,17 @@ class TestCensus:
         # splits, any two splits force full separability (2^3 gates), so
         # 3*48 - 3*8 + 8
         assert r.separable_count == 128
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_counts_match_brute_force(self, n):
+        r = classify_all(n)
+        assert r.total == len(list_gates(n, "all"))
+        assert r.hermitian_count == len(list_gates(n, "hermitian"))
+        assert r.separable_count == len(list_gates(n, "separable"))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_separable_matches_mobius_sum(self, n):
+        assert classify_all(n, force=True).separable_count == mobius_separable(n)
 
     def test_tallies_sum(self):
         r = classify_all(2)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from permgate import counting
 from permgate.cli import main
 from permgate.templates import GateLibrary, load_store
 
@@ -54,6 +55,17 @@ class TestStats:
         total = next(line for line in out.splitlines()
                      if line.startswith("total="))
         assert int(decimal.Decimal(total[len("total="):])) == math.factorial(2048)
+
+    def test_fraction_from_the_printed_counts(self, capsys, monkeypatch):
+        _, expected, _ = run(capsys, "stats", "--qubits", "3")
+
+        def recount(n_qubits):
+            raise AssertionError("stats recounted its totals")
+
+        monkeypatch.setattr(counting, "non_hermitian_fraction", recount)
+        code, out, _ = run(capsys, "stats", "--qubits", "3")
+        assert code == 0
+        assert out == expected
 
     def test_byte_determinism(self, capsys):
         _, first, _ = run(capsys, "stats", "--qubits", "4")
@@ -130,6 +142,22 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--qubits", "4")
         assert code == 1
         assert "cap" in err
+
+    def test_force_answers_past_the_cap(self, capsys):
+        code, out, err = run(capsys, "classify", "--qubits", "4", "--force")
+        assert code == 0
+        assert err == ""
+        assert "separable=323232\n" in out
+        assert "entangled=20922789564768\n" in out
+
+    def test_forced_counts_past_the_int_digit_limit(self, capsys):
+        # (2^11)! has 5895 digits, past the default int-to-str limit of 4300
+        code, out, err = run(capsys, "classify", "--qubits", "11", "--force")
+        assert code == 0
+        assert err == ""
+        total = next(line for line in out.splitlines()
+                     if line.startswith("total="))
+        assert int(decimal.Decimal(total[len("total="):])) == math.factorial(2048)
 
 
 class TestTemplates:

@@ -82,9 +82,8 @@ class TestGateLibrary:
             GateLibrary(2, [("a", Permutation([0, 1, 2]))])
 
     def test_closure_check(self):
-        assert GateLibrary.symmetric_group(3).is_group_closed()
+        GateLibrary.symmetric_group(3).require_group_closed()
         open_lib = GateLibrary(2, [("X", Permutation([1, 0]))])
-        assert not open_lib.is_group_closed()
         with pytest.raises(ClosureError, match="'X'"):
             open_lib.require_group_closed()
 
@@ -274,6 +273,9 @@ class TestGenerate:
         lib = s4_library()
         assert len(generate_templates(lib, 2)) == 16
         assert len(generate_templates(lib, 3)) == 103
+        assert len(generate_templates(lib, 4)) == 1507
+        # the cheap case where stored templates subsume longer candidates
+        assert len(generate_templates(GateLibrary.symmetric_group(3), 6)) == 51
 
     def test_all_verify_and_non_degenerate(self):
         store = generate_templates(s4_library(), 3)
@@ -325,6 +327,20 @@ class TestStoreFiles:
         text = "templates dim=4\ntemplate: (2,3,1,4);(2,3,1,4)\n"
         with pytest.raises(FileFormatError, match="line 2"):
             parse_store(text)
+
+    def test_loader_verifies_each_line_once(self, monkeypatch):
+        store = generate_templates(s4_library(), 3)
+        calls = []
+        verifies = Template.verifies
+
+        def counted(t):
+            calls.append(t)
+            return verifies(t)
+
+        monkeypatch.setattr(Template, "verifies", counted)
+        loaded = parse_store(format_store(store))
+        assert len(loaded) == len(store)
+        assert len(calls) == len(store)
 
     def test_loader_rejects_bad_header(self):
         with pytest.raises(FileFormatError, match="line 1"):
