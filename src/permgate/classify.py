@@ -175,7 +175,8 @@ def _check_census_cap(n_qubits: int, force: bool) -> None:
     if n_qubits > CENSUS_CAP and not force:
         raise CapExceeded(
             f"census over S_{2 ** n_qubits} refused: cap is {CENSUS_CAP} "
-            f"qubits ((2^{CENSUS_CAP})! gates); pass force=True to override"
+            f"qubits ((2^{CENSUS_CAP})! gates); pass force=True "
+            f"(--force on the command line) to override"
         )
 
 

