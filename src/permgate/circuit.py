@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, FileFormatError, WiringError, _read_ascii
-from .perm import Permutation, _product
+from .perm import Permutation
 from .templates import TemplateStore
 
 WIRE_CAP = 12
@@ -105,7 +105,8 @@ class Circuit:
         if n_wires > WIRE_CAP and not force:
             raise DimensionError(
                 f"{n_wires} wires exceeds the cap of {WIRE_CAP} "
-                f"(semantics live on 2^n indices); pass force=True to override"
+                f"(semantics live on 2^n indices); pass force=True "
+                f"(--force on the command line) to override"
             )
         gates = tuple(gates)
         for inst in gates:
@@ -166,13 +167,19 @@ def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n_wires, out, force=True)
 
 
-def _find_rewrite(circuit: Circuit, templates, dimension: int):
-    """First applicable rewrite under the fixed scan order: leftmost window,
-    longest template first (then store order), largest match, first cyclic
-    offset.  Returns (start, matched_len, replacement_gates) or None."""
+def _find_rewrite(circuit: Circuit, scan, dimension: int, resume: int):
+    """First applicable rewrite at or after gate `resume` under the fixed
+    scan order: leftmost window, longest template first (then store
+    order), largest match, first cyclic offset.  Returns (start,
+    matched_len, replacement_gates) or None.
+
+    Each window's product is one walk in the store's gate table, and the
+    store's lookup answers each (length, product) pair at once; a gate the
+    table has not met yet is interned on the way."""
     gates = circuit.gates
-    longest = max((len(t.gates) for t in templates), default=0)
-    for start in range(len(gates)):
+    longest, first = scan.longest, scan.first
+    intern, mul = scan.table.intern, scan.table.mul
+    for start in range(resume, len(gates)):
         wires = gates[start].wires
         if 2 ** len(wires) != dimension:
             continue
@@ -183,20 +190,18 @@ def _find_rewrite(circuit: Circuit, templates, dimension: int):
         # a match covers more than half of a template of 2+ gates
         if run < 2:
             continue
-        windows = [_product((g.gate.perm for g in gates[start:start + p]), dimension)
-                   for p in range(run + 1)]
-        for t in templates:
-            m = len(t.gates)
-            cyclic = t.gates * 2
-            for p in range(min(m, run), m // 2, -1):
-                for offset in range(m):
-                    if _product(cyclic[offset:offset + p], dimension) != windows[p]:
-                        continue
-                    replacement = [
-                        GateInstance(named_gate(g.inverse()), wires)
-                        for g in reversed(cyclic[offset + p:offset + m])
-                    ]
-                    return start, p, replacement
+        acc = intern(gates[start].gate.perm)
+        best, best_p = None, 0
+        for p in range(2, run + 1):
+            acc = mul[intern(gates[start + p - 1].gate.perm)][acc]
+            hit = first[p].get(acc)
+            # an equal rank at a larger p is the same template's larger match
+            if hit is not None and (best is None or hit[0] <= best[0]):
+                best, best_p = hit, p
+        if best is not None:
+            replacement = [GateInstance(named_gate(g), wires)
+                           for g in scan.replacement(best[0], best[1], best_p)]
+            return start, best_p, replacement
     return None
 
 
@@ -225,18 +230,19 @@ def _template_rewrite_counted(circuit, store, budget):
             f"store dimension {store.dimension} is not a power of two; "
             f"it can never match a window of qubit gates"
         )
-    templates = sorted(
-        store.templates,
-        key=lambda t: -len(t.gates),
-    )
+    scan = store._rewrite_scan()
     applied = 0
+    resume = 0
     while applied < budget:
-        hit = _find_rewrite(circuit, templates, store.dimension)
+        hit = _find_rewrite(circuit, scan, store.dimension, resume)
         if hit is None:
             break
         start, count, replacement = hit
         circuit = circuit.replaced(start, count, replacement)
         applied += 1
+        # a window starting before this reads only gates before `start`,
+        # which did not change, and it failed in this scan or an earlier one
+        resume = max(0, start - scan.longest + 1)
     return circuit, applied
 
 

@@ -26,8 +26,8 @@ from .errors import CapExceeded, PermGateError
 from .perm import check_enumeration_cap
 from .templates import (
     MAX_TEMPLATE_SIZE,
-    MULT_TABLE_CAP,
     GateLibrary,
+    check_table_cap,
     generate_templates,
     load_store,
     save_store,
@@ -78,10 +78,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--templates", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--budget", type=int, default=circ.DEFAULT_REWRITE_BUDGET)
+    p.add_argument("--force", action="store_true",
+                   help="override the wire cap")
 
     p = sub.add_parser("verify", help="check two circuit files for equality")
     p.add_argument("--circuit", action="append", required=True,
                    metavar="FILE", help="given twice: the circuits to compare")
+    p.add_argument("--force", action="store_true",
+                   help="override the wire cap")
 
     return parser
 
@@ -165,13 +169,10 @@ def _cmd_templates(args, parser) -> int:
         parser.error("--dimension must be a power of two >= 2")
     if not 2 <= args.max_size <= MAX_TEMPLATE_SIZE:
         parser.error(f"--max-size must be in 2..{MAX_TEMPLATE_SIZE}")
-    if math.factorial(m) > MULT_TABLE_CAP and not args.force:
-        raise CapExceeded(
-            f"S_{m} library has {math.factorial(m)} gates, over the cap of "
-            f"{MULT_TABLE_CAP}; pass --force to override"
-        )
+    # the table's cap, checked before S_m is built
+    check_table_cap(math.factorial(m), args.force)
     library = GateLibrary.symmetric_group(m, force=args.force)
-    store = generate_templates(library, args.max_size)
+    store = generate_templates(library, args.max_size, force=args.force)
     save_store(store, args.out)
     print(f"templates={len(store)}")
     return 0
@@ -180,7 +181,7 @@ def _cmd_templates(args, parser) -> int:
 def _cmd_optimize(args, parser) -> int:
     if args.budget < 0:
         parser.error("--budget must be >= 0")
-    circuit = circ.load_circuit(args.circuit)
+    circuit = circ.load_circuit(args.circuit, force=args.force)
     store = load_store(args.templates) if args.templates else None
     optimized, report = circ.optimize(circuit, store, budget=args.budget)
     if circ.circuit_permutation(optimized) != circ.circuit_permutation(circuit):
@@ -199,8 +200,8 @@ def _cmd_verify(args, parser) -> int:
     if len(args.circuit) != 2:
         parser.error("verify needs exactly two --circuit arguments")
     try:
-        a = circ.load_circuit(args.circuit[0])
-        b = circ.load_circuit(args.circuit[1])
+        a = circ.load_circuit(args.circuit[0], force=args.force)
+        b = circ.load_circuit(args.circuit[1], force=args.force)
     except (PermGateError, OSError) as exc:
         # exit 1 is reserved for DIFFER here, so unusable inputs are usage
         print(f"error: {exc}", file=sys.stderr)

@@ -1,0 +1,134 @@
+"""Gates interned as small integers, with memoised products and inverses.
+
+A GateTable numbers each distinct permutation of one dimension the first
+time it meets it (0, 1, ...).  Template stores hold their templates as
+words, tuples of these indices, so checking, deduplicating and matching a
+template is a walk of lookups: ``mul[a][b]`` is the index of gate a *
+gate b (b applied first), and ``inv[a]`` the index of gate a's inverse.
+A missing entry is computed from the two gates' images, and a product
+the table has not met is interned on the way, so a table seeded with a
+group-closed library never misses and any other table grows on demand.
+"""
+
+from __future__ import annotations
+
+import threading
+
+from .perm import Permutation
+
+
+class _Row(dict):
+    """Row a of a gate table's product memo: row[b] is the index of
+    gate a * gate b, computed (and the product interned) on first use."""
+
+    __slots__ = ("_table", "_a")
+
+    def __init__(self, table: "GateTable", a: int):
+        super().__init__()
+        self._table = table
+        self._a = a
+
+    def __missing__(self, b: int) -> int:
+        images = self._table.images
+        c = self._table.intern_images(tuple(map(images[self._a].__getitem__,
+                                                images[b])))
+        self[b] = c
+        return c
+
+
+class _Inverses(dict):
+    """inv[a] is the index of the inverse of gate a, computed on first use."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: "GateTable"):
+        super().__init__()
+        self._table = table
+
+    def __missing__(self, a: int) -> int:
+        images = self._table.images[a]
+        back = [0] * len(images)
+        for j, img in enumerate(images):
+            back[img] = j
+        b = self._table.intern_images(tuple(back))
+        self[a] = b
+        self[b] = a
+        return b
+
+
+class GateTable:
+    """The distinct gates of one dimension, interned as indices 0, 1, ...
+
+    ``gates`` are interned first, in their order, and ``table``, when
+    given, is their full multiplication table.  An index keeps its gate
+    for the table's lifetime, so memoised products and inverses never go
+    stale; the table only grows.  Interning takes a lock so concurrent
+    users of one store agree on every index.
+    """
+
+    def __init__(self, dimension: int, gates=(), table=None):
+        self.dimension = dimension
+        self.images: list[tuple[int, ...]] = []
+        self.perms: list[Permutation] = []
+        self.mul: list[_Row] = []
+        self.inv = _Inverses(self)
+        self._index: dict[tuple[int, ...], int] = {}
+        self._lock = threading.Lock()
+        for g in gates:
+            self.intern(g)
+        self.identity = self.intern_images(tuple(range(dimension)))
+        if table is not None:
+            for a, entries in enumerate(table):
+                self.mul[a].update(enumerate(entries))
+                self.inv[a] = entries.index(self.identity)
+
+    def intern(self, perm: Permutation) -> int:
+        i = self._index.get(perm.images)
+        return self._add(perm.images, perm) if i is None else i
+
+    def intern_images(self, images: tuple[int, ...]) -> int:
+        i = self._index.get(images)
+        return self._add(images, None) if i is None else i
+
+    def _add(self, images, perm) -> int:
+        with self._lock:
+            i = self._index.get(images)
+            if i is None:
+                i = len(self.images)
+                self.images.append(images)
+                self.perms.append(Permutation(images) if perm is None else perm)
+                self.mul.append(_Row(self, i))
+                self._index[images] = i  # published last
+            return i
+
+    def text(self, word) -> str:
+        return ";".join(self.perms[i].one_line() for i in word)
+
+    def is_identity_word(self, word) -> bool:
+        """The word composes (leftmost first) to the identity."""
+        mul = self.mul
+        acc = word[0]
+        for g in word[1:]:
+            acc = mul[g][acc]
+        return acc == self.identity
+
+    def is_degenerate(self, word) -> bool:
+        """Holds the identity gate, or (beyond length 2) a cyclically
+        adjacent mutually inverse pair."""
+        if self.identity in word:
+            return True
+        if len(word) == 2:
+            return False
+        inv = self.inv
+        return any(b == inv[a] for a, b in zip(word, word[1:] + word[:1]))
+
+    def key(self, word) -> tuple[int, ...]:
+        """Smallest index word over rotations of the word and of its
+        reversed elementwise inverse; only rotations that start at the
+        smallest index can be it."""
+        inv = self.inv
+        n = len(word)
+        back = tuple([inv[g] for g in reversed(word)])
+        low = min(min(word), min(back))
+        return min([w[k:k + n] for w in (word + word, back + back)
+                    for k in range(n) if w[k] == low])

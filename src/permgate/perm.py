@@ -88,9 +88,12 @@ class Permutation:
         return len(self._images)
 
     def one_line(self) -> str:
-        """Render as 1-based one-line notation, no spaces."""
-        inv = self.inverse()._images
-        return "(" + ",".join(str(i + 1) for i in inv) + ")"
+        """Render as 1-based one-line notation, no spaces: position i holds
+        1 + the input sent to output i."""
+        entries = [0] * len(self._images)
+        for j, img in enumerate(self._images, start=1):
+            entries[img] = j
+        return "(" + ",".join(map(str, entries)) + ")"
 
     def __call__(self, index: int) -> int:
         return self._images[index]

@@ -12,16 +12,32 @@ what makes the two-gate count |L| and the per-expansion count |L| exact.
 Two templates are treated as the same when one is a cyclic rotation of the
 other, or a cyclic rotation of the other reversed with every gate
 inverted; both symmetries send identity words to identity words.
+
+Generation, loading and matching work on integers.  Each store keeps a
+GateTable, in which every distinct gate it meets is interned once, and
+holds its templates as words: tuples of those indices.  Over a
+group-closed library the table is seeded with the library's
+multiplication_table, built once, in library order; a loaded store's
+table grows on demand, since a hand-edited store need not be
+group-closed.  Verification, degeneracy, deduplication and subsumption
+are walks and lookups in that table, and a Permutation is built once per
+distinct gate rather than once per candidate.
+
+A word's canonical key is the smallest index word in its symmetry orbit.
+The orbits partition the words, so two words share the minimum exactly
+when they share the orbit, whatever order the indices come in.  Keys are
+only ever compared for equality, so any index order (library order, or
+the order a file names its gates) gives the same stores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import warnings
+from dataclasses import dataclass
 
 from .errors import (CapExceeded, ClosureError, DimensionError,
                      FileFormatError, _read_ascii)
+from .gatetable import GateTable
 from .perm import Permutation, _product, enumerate_permutations
 
 MULT_TABLE_CAP = 720  # |S_6|
@@ -66,18 +82,27 @@ class GateLibrary:
     def index_of(self, gate: Permutation) -> int:
         return self._index[gate]
 
-    def require_group_closed(self) -> None:
-        """Check closure under composition and inverse."""
-        for name, g in zip(self.names, self.gates):
-            if g.inverse() not in self._index:
-                raise ClosureError(f"inverse of {name!r} is not in the library")
-        for na, a in zip(self.names, self.gates):
-            for nb, b in zip(self.names, self.gates):
-                if a * b not in self._index:
-                    raise ClosureError(
-                        f"product {na!r} * {nb!r} = {(a * b).one_line()} "
-                        f"is not in the library"
-                    )
+    def require_group_closed(self, force: bool = False) -> list[list[int]]:
+        """Check closure and return the multiplication table.
+
+        Closure under products is enough: in a finite set closed under
+        products every gate's powers cycle back to the identity, so its
+        inverse is one of them.  The |L|^2 products go through the one
+        MULT_TABLE_CAP check; raises ClosureError naming the first missing
+        product.
+        """
+        return multiplication_table(self, force)
+
+
+def check_table_cap(n_gates: int, force: bool = False) -> None:
+    """Refuse a multiplication table over more than MULT_TABLE_CAP gates
+    (|L|^2 products) unless force is set."""
+    if n_gates > MULT_TABLE_CAP and not force:
+        raise CapExceeded(
+            f"multiplication table for {n_gates} gates refused: cap is "
+            f"{MULT_TABLE_CAP}; pass force=True (--force on the command "
+            f"line) to override"
+        )
 
 
 def multiplication_table(library: GateLibrary, force: bool = False) -> list[list[int]]:
@@ -87,22 +112,21 @@ def multiplication_table(library: GateLibrary, force: bool = False) -> list[list
     missing product otherwise.  Every row and column is a permutation of
     the library indices.
     """
-    if len(library) > MULT_TABLE_CAP and not force:
-        raise CapExceeded(
-            f"multiplication table for {len(library)} gates refused: cap is "
-            f"{MULT_TABLE_CAP}; pass force=True to override"
-        )
+    check_table_cap(len(library), force)
+    images = [g.images for g in library.gates]
+    index = {imgs: i for i, imgs in enumerate(images)}
     table = []
-    for na, a in zip(library.names, library.gates):
+    for na, a in zip(library.names, images):
         row = []
-        for nb, b in zip(library.names, library.gates):
-            prod = a * b
-            if prod not in library:
+        for nb, b in zip(library.names, images):
+            prod = tuple(map(a.__getitem__, b))
+            k = index.get(prod)
+            if k is None:
                 raise ClosureError(
-                    f"product {na!r} * {nb!r} = {prod.one_line()} "
+                    f"product {na!r} * {nb!r} = {Permutation(prod).one_line()} "
                     f"is not in the library"
                 )
-            row.append(library.index_of(prod))
+            row.append(k)
         table.append(row)
     return table
 
@@ -141,7 +165,8 @@ class Template:
 
     def is_degenerate(self) -> bool:
         """Contains the identity gate, or (beyond length 2) a cyclically
-        adjacent mutually-inverse pair."""
+        adjacent mutually-inverse pair.  Permutation-level reference for
+        the store's check on index words."""
         if any(g.is_identity() for g in self.gates):
             return True
         if len(self.gates) == 2:
@@ -173,6 +198,9 @@ class Template:
 def two_gate_templates(library: GateLibrary) -> list[Template]:
     """One (U, U^-1) template per library gate, library order.
 
+    Permutation-level reference for generate_templates' first level, which
+    runs on library indices.
+
     The identity gate contributes the degenerate (I, I); it is kept here so
     the count equals |library| exactly, and dropped at store level.
     """
@@ -190,7 +218,8 @@ def expand_template(t: Template, position: int, library: GateLibrary) -> list[Te
 
     For target gate g there are exactly |library| ordered pairs (u, v) with
     v * u = g (u free, v = g * u^-1), so the result always has |library|
-    entries, degenerate factorizations included.
+    entries, degenerate factorizations included.  Permutation-level
+    reference for generate_templates' expansion step.
     """
     if not 0 <= position < len(t.gates):
         raise IndexError(f"position {position} out of range for {len(t.gates)} gates")
@@ -212,24 +241,48 @@ def expand_template(t: Template, position: int, library: GateLibrary) -> list[Te
 
 
 class TemplateStore:
-    """Deduplicated set of verified, non-degenerate templates."""
+    """Deduplicated set of verified, non-degenerate templates.
+
+    Templates are held as index words over the store's gate table, which
+    is what every check, the store file and the rewrite scan read;
+    ``templates`` (and iteration) gives them as Template objects, in the
+    same order, built on first use.
+    """
 
     def __init__(self, dimension: int):
         if dimension < 1:
             raise DimensionError(f"invalid dimension {dimension}")
         self.dimension = dimension
-        self.templates: list[Template] = []
-        self._keys: set = set()
         self.complete = True
+        self._table = GateTable(dimension)
+        self._words: list[tuple[int, ...]] = []
+        self._keys: set[tuple[int, ...]] = set()
+        self._templates: list[Template] = []
+        self._scan = None
+
+    @property
+    def templates(self) -> list[Template]:
+        made = self._templates
+        if len(made) < len(self._words):
+            perms = self._table.perms
+            made = self._templates = made + [
+                Template(tuple([perms[i] for i in word]))
+                for word in self._words[len(made):]]
+        return made
 
     def __len__(self) -> int:
-        return len(self.templates)
+        return len(self._words)
 
     def __iter__(self):
         return iter(self.templates)
 
+    def _word(self, t: Template) -> tuple[int, ...]:
+        intern = self._table.intern
+        return tuple([intern(g) for g in t.gates])
+
     def __contains__(self, t: Template) -> bool:
-        return t.canonical_key() in self._keys
+        return (t.dimension == self.dimension
+                and self._table.key(self._word(t)) in self._keys)
 
     def add(self, t: Template) -> bool:
         """Insert unless already present up to symmetry; idempotent."""
@@ -237,32 +290,91 @@ class TemplateStore:
             raise DimensionError(
                 f"template dimension {t.dimension} != store dimension {self.dimension}"
             )
-        if not t.verifies():
-            raise ValueError(f"template does not compose to identity: {t.one_line()}")
-        key = t.canonical_key()
+        return self._add_word(self._word(t))
+
+    def _add_word(self, word: tuple[int, ...], key=None) -> bool:
+        table = self._table
+        if not table.is_identity_word(word):
+            raise ValueError(
+                f"template does not compose to identity: {table.text(word)}")
+        if key is None:
+            key = table.key(word)
         if key in self._keys:
             return False
         self._keys.add(key)
-        self.templates.append(t)
+        self._words.append(word)
+        self._scan = None
         return True
 
     def subsumes(self, t: Template) -> bool:
         """True if t contains a stored shorter template as a contiguous
         cyclic factor."""
-        n = len(t.gates)
-        for size in range(2, n):
-            for off in range(n):
-                window = tuple(t.gates[(off + k) % n] for k in range(size))
-                cand = Template(window)
-                if cand.verifies() and cand.canonical_key() in self._keys:
+        return t.dimension == self.dimension and self._subsumes(self._word(t))
+
+    def _subsumes(self, word: tuple[int, ...]) -> bool:
+        table = self._table
+        mul, e, keys = table.mul, table.identity, self._keys
+        n = len(word)
+        cyclic = word + word
+        for offset in range(n):
+            acc = word[offset]
+            for size in range(2, n):
+                acc = mul[cyclic[offset + size - 1]][acc]
+                if acc == e and table.key(cyclic[offset:offset + size]) in keys:
                     return True
         return False
+
+    def _rewrite_scan(self) -> "_RewriteScan":
+        """The rewrite scan's lookup for the store as it stands, built once
+        and rebuilt only after the store changes."""
+        scan = self._scan
+        if scan is None:
+            scan = self._scan = _RewriteScan(self)
+        return scan
+
+
+class _RewriteScan:
+    """What the circuit module's rewrite scan needs from one store.
+
+    ``ranked`` holds the words longest first, store order within a length;
+    the scan tries them in that order.  ``first[p][g]`` is the smallest
+    (rank, offset) whose p cyclically consecutive gates from ``offset``
+    compose to table index g, over every strict majority p (m // 2 < p <= m)
+    of every word of length m.  So for a window of p gates composing to g,
+    one lookup per p answers what the template-by-template scan would find
+    first at that p.
+    """
+
+    def __init__(self, store: TemplateStore):
+        self.table = store._table
+        self.ranked = sorted(store._words, key=lambda w: -len(w))
+        self.longest = len(self.ranked[0]) if self.ranked else 0
+        self.first: list[dict[int, tuple[int, int]]] = [
+            {} for _ in range(self.longest + 1)]
+        mul = self.table.mul
+        for rank, word in enumerate(self.ranked):
+            m = len(word)
+            cyclic = word + word
+            for offset in range(m):
+                acc = word[offset]
+                for p in range(2, m + 1):
+                    acc = mul[cyclic[offset + p - 1]][acc]
+                    if p > m // 2:
+                        self.first[p].setdefault(acc, (rank, offset))
+
+    def replacement(self, rank: int, offset: int, p: int) -> list[Permutation]:
+        """The inverted remainder of a match, in circuit order."""
+        word = self.ranked[rank]
+        rest = (word + word)[offset + p:offset + len(word)]
+        table = self.table
+        return [table.perms[table.inv[g]] for g in reversed(rest)]
 
 
 def generate_templates(
     library: GateLibrary,
     max_size: int,
     max_templates: int = DEFAULT_STORE_BUDGET,
+    force: bool = False,
 ) -> TemplateStore:
     """Breadth-first template generation up to max_size gates.
 
@@ -271,11 +383,19 @@ def generate_templates(
     degenerate, are new up to symmetry, and do not contain a shorter stored
     template as a contiguous cyclic factor.  If the store budget is hit the
     result is returned partial with complete=False and a warning.
+
+    The search runs on library indices: (u, v) replaces gate g with
+    v = mul[g][inv[u]] for every u, in library order, exactly as
+    expand_template does on permutations.  The multiplication table is the
+    closure check, and force overrides its MULT_TABLE_CAP.
     """
     if not 2 <= max_size <= MAX_TEMPLATE_SIZE:
         raise ValueError(f"max_size {max_size} out of range 2..{MAX_TEMPLATE_SIZE}")
-    library.require_group_closed()
+    table = GateTable(library.dimension, library.gates,
+                       library.require_group_closed(force))
     store = TemplateStore(library.dimension)
+    store._table = table
+    mul, inv, keys = table.mul, table.inv, store._keys
 
     def over_budget() -> bool:
         if len(store) >= max_templates:
@@ -287,25 +407,31 @@ def generate_templates(
             return True
         return False
 
-    def try_add(t: Template) -> bool:
-        if t.is_degenerate() or t in store or store.subsumes(t):
+    def try_add(word: tuple[int, ...]) -> bool:
+        if table.is_degenerate(word):
             return False
-        return store.add(t)
+        key = table.key(word)
+        if key in keys or store._subsumes(word):
+            return False
+        return store._add_word(word, key)
 
+    everything = range(len(library))
     frontier = []
-    for t in two_gate_templates(library):
+    for g in everything:
         if over_budget():
             return store
-        if try_add(t):
-            frontier.append(t)
+        if try_add((g, inv[g])):
+            frontier.append((g, inv[g]))
 
     for _ in range(3, max_size + 1):
         next_frontier = []
-        for t in frontier:
-            for position in range(len(t.gates)):
-                for cand in expand_template(t, position, library):
+        for word in frontier:
+            for position, target in enumerate(word):
+                head, tail, row = word[:position], word[position + 1:], mul[target]
+                for u in everything:
                     if over_budget():
                         return store
+                    cand = head + (u, row[inv[u]]) + tail
                     if try_add(cand):
                         next_frontier.append(cand)
         frontier = next_frontier
@@ -315,8 +441,9 @@ def generate_templates(
 def format_store(store: TemplateStore) -> str:
     """Store file text: a dim header then one 'template:' line per entry,
     sorted by size then text for stable output."""
+    texts = [p.one_line() for p in store._table.perms]
     lines = [f"templates dim={store.dimension}"]
-    body = sorted((len(t.gates), t.one_line()) for t in store.templates)
+    body = sorted((len(w), ";".join([texts[i] for i in w])) for w in store._words)
     lines.extend(f"template: {text}" for _, text in body)
     return "\n".join(lines) + "\n"
 
@@ -324,8 +451,10 @@ def format_store(store: TemplateStore) -> str:
 def parse_store(text: str) -> TemplateStore:
     """Inverse of format_store; every line must verify to identity.
 
-    Raises FileFormatError with the 1-based line number on any malformed or
-    non-identity line.
+    Each distinct gate text is parsed (and validated) once and interned in
+    the store's gate table; every line is then verified and deduplicated
+    as an index word.  Raises FileFormatError with the 1-based line number
+    on any malformed or non-identity line.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("templates dim="):
@@ -338,23 +467,31 @@ def parse_store(text: str) -> TemplateStore:
         store = TemplateStore(dimension)
     except DimensionError as exc:
         raise FileFormatError(1, str(exc)) from None
+    # gate text -> table index, or None for a gate of another dimension
+    seen: dict[str, int | None] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if not line.startswith("template:"):
             raise FileFormatError(lineno, f"expected 'template:' line, got {raw!r}")
-        parts = [p.strip() for p in line[len("template:"):].split(";")]
-        try:
-            gates = tuple(Permutation.from_one_line(p) for p in parts)
-        except Exception as exc:
-            raise FileFormatError(lineno, str(exc)) from exc
-        if any(g.size != dimension for g in gates):
+        word = []
+        for part in line[len("template:"):].split(";"):
+            part = part.strip()
+            if part not in seen:
+                try:
+                    perm = Permutation.from_one_line(part)
+                except Exception as exc:
+                    raise FileFormatError(lineno, str(exc)) from exc
+                seen[part] = (store._table.intern(perm)
+                              if perm.size == dimension else None)
+            word.append(seen[part])
+        if None in word:
             raise FileFormatError(lineno, f"gate dimension differs from dim={dimension}")
-        if len(gates) < 2:
+        if len(word) < 2:
             raise FileFormatError(lineno, "template needs at least 2 gates")
         try:
-            store.add(Template(gates))
+            store._add_word(tuple(word))
         except ValueError as exc:
             raise FileFormatError(lineno, str(exc)) from None
     return store

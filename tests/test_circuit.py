@@ -20,7 +20,8 @@ from permgate.circuit import (
 )
 from permgate.errors import DimensionError, FileFormatError, WiringError
 from permgate.perm import Permutation
-from permgate.templates import GateLibrary, Template, TemplateStore, generate_templates
+from permgate.templates import (GateLibrary, Template, TemplateStore,
+                                generate_templates, parse_store)
 
 X = BUILTIN_GATES["X"]
 CNOT = BUILTIN_GATES["CNOT"]
@@ -315,6 +316,27 @@ class TestTemplateRewrite:
             out = template_rewrite(c, s4_store, budget=200)
             assert circuit_permutation(out) == circuit_permutation(c)
             assert len(out) <= len(c)
+
+    def test_resumes_where_the_rewrite_can_reach(self):
+        # the rewrite at gate 5 changes the last gate of the 4-gate window
+        # at gate 2 = 5 - 4 + 1, which only then matches; the scan must
+        # resume there, not at the rewrite itself
+        store = parse_store("templates dim=4\n"
+                            "template: (2,4,3,1);(2,4,3,1);(1,4,2,3);(3,2,4,1)\n"
+                            "template: (2,4,3,1);(1,4,2,3);(3,4,2,1);(3,4,2,1)\n")
+
+        def circuit(*texts):
+            return Circuit(2, [inst(named_gate(Permutation.from_one_line(t)), 0, 1)
+                               for t in texts])
+
+        c = circuit("(2,3,1,4)", "(1,4,2,3)", "(1,4,2,3)", "(1,4,2,3)",
+                    "(2,4,3,1)", "(2,3,1,4)", "(2,4,3,1)", "(2,4,3,1)")
+        assert template_rewrite(c, store, budget=1) == circuit(
+            "(2,3,1,4)", "(1,4,2,3)", "(1,4,2,3)", "(1,4,2,3)",
+            "(2,4,3,1)", "(4,2,1,3)")
+        assert template_rewrite(c, store, budget=2) == circuit(
+            "(2,3,1,4)", "(1,4,2,3)")
+        assert template_rewrite(c, store) == circuit("(2,3,1,4)", "(1,4,2,3)")
 
     def test_deterministic(self, s4_store):
         rng = random.Random(43)

@@ -21,6 +21,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def wide_circuit(tmp_path):
+    """A 13-wire circuit, one wire over the cap, holding one X pair."""
+    path = tmp_path / "wide.circ"
+    path.write_text("qubits 13\ngate CNOT 12 0\ngate X 5\ngate X 5\n"
+                    "gate TOFFOLI 0 1 12\n")
+    return path
+
+
 def listing_oracle(m, which):
     """enumerate's expected stdout, built from Permutation objects."""
     keep = {"all": lambda p: True,
@@ -335,6 +343,31 @@ class TestOptimize:
         assert code == 1
         assert err
 
+    def test_over_cap_wire_count_names_force(self, capsys, tmp_path):
+        out_path = tmp_path / "o.circ"
+        code, out, err = run(capsys, "optimize", "--circuit",
+                             str(wide_circuit(tmp_path)), "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert "cap" in err
+        assert "--force" in err
+        assert not out_path.exists()
+
+    def test_force_optimizes_past_the_wire_cap(self, capsys, tmp_path):
+        wide = wide_circuit(tmp_path)
+        out_path = tmp_path / "o.circ"
+        code, out, err = run(capsys, "optimize", "--circuit", str(wide),
+                             "--out", str(out_path), "--force")
+        assert code == 0
+        assert err == ""
+        assert out == "gates_before=4\ngates_after=2\nremoved=2\nrewrites=0\n"
+        assert out_path.read_text() == (
+            "qubits 13\ngate CNOT 12 0\ngate TOFFOLI 0 1 12\n")
+        code, out, _ = run(capsys, "verify", "--circuit", str(wide),
+                           "--circuit", str(out_path), "--force")
+        assert code == 0
+        assert out == "EQUIVALENT\n"
+
 
 class TestVerify:
     def test_equivalent(self, capsys, tmp_path):
@@ -408,6 +441,28 @@ class TestVerify:
                            "--circuit", str(b))
         assert code == 2
         assert "cap" in err
+
+    def test_over_cap_wire_count_names_force(self, capsys, tmp_path):
+        wide = wide_circuit(tmp_path)
+        code, out, err = run(capsys, "verify", "--circuit", str(wide),
+                             "--circuit", str(wide))
+        assert code == 2
+        assert out == ""
+        assert "--force" in err
+
+    def test_force_verifies_past_the_wire_cap(self, capsys, tmp_path):
+        wide = wide_circuit(tmp_path)
+        other = tmp_path / "other.circ"
+        other.write_text("qubits 13\ngate CNOT 12 0\ngate TOFFOLI 0 1 12\n")
+        code, out, _ = run(capsys, "verify", "--circuit", str(wide),
+                           "--circuit", str(other), "--force")
+        assert code == 0
+        assert out == "EQUIVALENT\n"
+        other.write_text("qubits 13\ngate CNOT 12 0\n")
+        code, out, _ = run(capsys, "verify", "--circuit", str(wide),
+                           "--circuit", str(other), "--force")
+        assert code == 1
+        assert out == "DIFFER\n"
 
     def test_needs_two_circuits(self, tmp_path):
         a = tmp_path / "a.circ"

@@ -133,6 +133,17 @@ class TestOneLineNotation:
         for p in s4():
             assert Permutation.from_one_line(p.one_line()) == p
 
+    def test_renders_without_building_permutations(self, monkeypatch):
+        perms = list(enumerate_permutations(5))
+        expected = ["(" + ",".join(str(i + 1) for i in p.inverse().images) + ")"
+                    for p in perms]
+
+        def refuse(self, images):
+            pytest.fail("one_line built a Permutation")
+
+        monkeypatch.setattr(Permutation, "__init__", refuse)
+        assert [p.one_line() for p in perms] == expected
+
     def test_notation_direction(self):
         # entry 2 at position 1 means input index 1 -> output index 0
         p = Permutation.from_one_line("(2,1,3,4)")

@@ -1,0 +1,372 @@
+"""The integer template engine against a Permutation-level reference.
+
+The reference below runs generation, loading and the rewrite scan the way
+they ran on Permutation objects: two_gate_templates, expand_template,
+Template.is_degenerate, Template.canonical_key and Template.verifies on
+every candidate, a store keyed by image tuples, and a scan that composes
+every window and template slice and restarts at gate 0 after each
+rewrite.  Libraries are random subgroups of S_3 and S_4, listed in
+shuffled order so that library index order is not image order.
+"""
+
+import hashlib
+import random
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from permgate.circuit import (
+    BUILTIN_GATES,
+    DEFAULT_REWRITE_BUDGET,
+    Circuit,
+    GateInstance,
+    OptimizeReport,
+    cancel_adjacent_inverses,
+    named_gate,
+    optimize,
+)
+from permgate.errors import FileFormatError
+from permgate.perm import Permutation, _product, enumerate_permutations
+from permgate.templates import (
+    GateLibrary,
+    Template,
+    expand_template,
+    format_store,
+    generate_templates,
+    parse_store,
+    two_gate_templates,
+)
+
+SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
+                    database=None)
+S4 = list(enumerate_permutations(4))
+
+
+# --- the reference ----------------------------------------------------------
+
+
+class RefStore:
+    def __init__(self, dimension):
+        self.dimension = dimension
+        self.templates = []
+        self.keys = set()
+        self.complete = True
+
+    def add(self, t):
+        if not t.verifies():
+            raise ValueError(f"template does not compose to identity: {t.one_line()}")
+        key = t.canonical_key()
+        if key in self.keys:
+            return False
+        self.keys.add(key)
+        self.templates.append(t)
+        return True
+
+    def subsumes(self, t):
+        n = len(t.gates)
+        for size in range(2, n):
+            for off in range(n):
+                window = Template(tuple(t.gates[(off + k) % n] for k in range(size)))
+                if window.verifies() and window.canonical_key() in self.keys:
+                    return True
+        return False
+
+
+def ref_generate(library, max_size, max_templates):
+    store = RefStore(library.dimension)
+
+    def over_budget():
+        if len(store.templates) >= max_templates:
+            store.complete = False
+            warnings.warn("partial")
+            return True
+        return False
+
+    def try_add(t):
+        if (t.is_degenerate() or t.canonical_key() in store.keys
+                or store.subsumes(t)):
+            return False
+        return store.add(t)
+
+    frontier = []
+    for t in two_gate_templates(library):
+        if over_budget():
+            return store
+        if try_add(t):
+            frontier.append(t)
+    for _ in range(3, max_size + 1):
+        next_frontier = []
+        for t in frontier:
+            for position in range(len(t.gates)):
+                for cand in expand_template(t, position, library):
+                    if over_budget():
+                        return store
+                    if try_add(cand):
+                        next_frontier.append(cand)
+        frontier = next_frontier
+    return store
+
+
+def ref_format(store):
+    body = sorted((len(t.gates), t.one_line()) for t in store.templates)
+    return "".join([f"templates dim={store.dimension}\n"]
+                   + [f"template: {text}\n" for _, text in body])
+
+
+def ref_parse(text):
+    lines = text.splitlines()
+    store = RefStore(int(lines[0].split("=", 1)[1]))
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        gates = tuple(Permutation.from_one_line(p)
+                      for p in line[len("template:"):].split(";"))
+        try:
+            store.add(Template(gates))
+        except ValueError as exc:
+            raise FileFormatError(lineno, str(exc)) from None
+    return store
+
+
+def ref_find_rewrite(circuit, templates, dimension):
+    gates = circuit.gates
+    longest = max((len(t.gates) for t in templates), default=0)
+    for start in range(len(gates)):
+        wires = gates[start].wires
+        if 2 ** len(wires) != dimension:
+            continue
+        run = 1
+        while (run < longest and start + run < len(gates)
+               and gates[start + run].wires == wires):
+            run += 1
+        if run < 2:
+            continue
+        windows = [_product((g.gate.perm for g in gates[start:start + p]), dimension)
+                   for p in range(run + 1)]
+        for t in templates:
+            m = len(t.gates)
+            cyclic = t.gates * 2
+            for p in range(min(m, run), m // 2, -1):
+                for offset in range(m):
+                    if _product(cyclic[offset:offset + p], dimension) != windows[p]:
+                        continue
+                    replacement = [GateInstance(named_gate(g.inverse()), wires)
+                                   for g in reversed(cyclic[offset + p:offset + m])]
+                    return start, p, replacement
+    return None
+
+
+def ref_optimize(circuit, store, budget=DEFAULT_REWRITE_BUDGET):
+    templates = sorted(store.templates, key=lambda t: -len(t.gates))
+    before, cancelled, rewrites = len(circuit), 0, 0
+    while True:
+        shrunk = cancel_adjacent_inverses(circuit)
+        cancelled += len(circuit) - len(shrunk)
+        circuit = shrunk
+        if rewrites >= budget:
+            break
+        applied = 0
+        while rewrites + applied < budget:
+            hit = ref_find_rewrite(circuit, templates, store.dimension)
+            if hit is None:
+                break
+            start, count, replacement = hit
+            circuit = circuit.replaced(start, count, replacement)
+            applied += 1
+        rewrites += applied
+        if applied == 0:
+            break
+    return circuit, OptimizeReport(before, len(circuit), cancelled, rewrites)
+
+
+# --- strategies -------------------------------------------------------------
+
+
+def closure(generators, dimension):
+    group = {Permutation.identity(dimension)}
+    frontier = list(group)
+    while frontier:
+        frontier = [g * a for a in frontier for g in generators
+                    if g * a not in group]
+        group.update(frontier)
+    return group
+
+
+@st.composite
+def libraries(draw, dimensions=(3, 4)):
+    """A subgroup of S_m from one or two random generators, in shuffled
+    order."""
+    m = draw(st.sampled_from(dimensions))
+    generators = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=2))
+    group = closure([Permutation(g) for g in generators], m)
+    order = draw(st.permutations(sorted(group)))
+    return GateLibrary(m, [(p.one_line(), p) for p in order])
+
+
+def max_size_for(library):
+    # keeps the reference search at a few tenths of a second per example
+    return 5 if len(library) <= 6 else 4 if len(library) <= 12 else 3
+
+
+@st.composite
+def circuits(draw, pool):
+    """Same-wire runs of two-qubit gates on 3 wires, from `pool` or all of
+    S_4, some followed by a one-qubit X."""
+    gate = st.sampled_from(pool) | st.sampled_from(S4)
+    gates = []
+    for _ in range(draw(st.integers(0, 5))):
+        wires = tuple(draw(st.permutations(range(3)))[:2])
+        for perm in draw(st.lists(gate, min_size=1, max_size=6)):
+            gates.append(GateInstance(named_gate(perm), wires))
+        if draw(st.booleans()):
+            gates.append(GateInstance(BUILTIN_GATES["X"], (draw(st.integers(0, 2)),)))
+    return Circuit(3, gates)
+
+
+@st.composite
+def hand_stores(draw):
+    """Store text over S_4 that is not group-closed: random identity words
+    of 2-4 gates, some repeated up to rotation or reversal with inverses."""
+    words = []
+    for _ in range(draw(st.integers(1, 8))):
+        head = [Permutation(draw(st.permutations(range(4))))
+                for _ in range(draw(st.integers(1, 3)))]
+        words.append(tuple(head) + (_product(head, 4).inverse(),))
+    for word in draw(st.lists(st.sampled_from(words), max_size=3)):
+        r = draw(st.integers(0, len(word) - 1))
+        word = word[r:] + word[:r]
+        if draw(st.booleans()):
+            word = tuple(g.inverse() for g in reversed(word))
+        words.append(word)
+    lines = ["templates dim=4", "# hand-written"]
+    lines += ["template: " + ";".join(g.one_line() for g in w) for w in words]
+    return "\n".join(lines) + "\n"
+
+
+def gate_lists(store):
+    return [t.gates for t in store.templates]
+
+
+# --- properties -------------------------------------------------------------
+
+
+@SETTINGS
+@given(library=libraries())
+def test_generation_matches_reference(library):
+    max_size = max_size_for(library)
+    store = generate_templates(library, max_size)
+    ref = ref_generate(library, max_size, 50_000)
+    text = format_store(store)
+    assert text == ref_format(ref)
+    assert store.complete and ref.complete
+    assert gate_lists(store) == gate_lists(ref)
+    loaded = parse_store(text)
+    assert format_store(loaded) == text
+    assert gate_lists(loaded) == gate_lists(ref_parse(text))
+
+
+@SETTINGS
+@given(library=libraries(), data=st.data())
+def test_partial_stores_match_reference(library, data):
+    max_size = max_size_for(library)
+    budget = data.draw(st.integers(0, 12))
+    with warnings.catch_warnings(record=True) as ours:
+        warnings.simplefilter("always")
+        store = generate_templates(library, max_size, max_templates=budget)
+    with warnings.catch_warnings(record=True) as theirs:
+        warnings.simplefilter("always")
+        ref = ref_generate(library, max_size, budget)
+    assert store.complete == ref.complete
+    assert len(ours) == len(theirs)
+    assert format_store(store) == ref_format(ref)
+    assert gate_lists(store) == gate_lists(ref)
+
+
+@SETTINGS
+@given(library=libraries(dimensions=(4,)), data=st.data())
+def test_optimize_matches_reference(library, data):
+    store = generate_templates(library, max_size_for(library))
+    ref = ref_generate(library, max_size_for(library), 50_000)
+    budget = data.draw(st.sampled_from([DEFAULT_REWRITE_BUDGET, 0, 1, 3]))
+    for _ in range(3):
+        circuit = data.draw(circuits(list(library.gates)))
+        assert optimize(circuit, store, budget) == ref_optimize(circuit, ref, budget)
+
+
+@SETTINGS
+@given(text=hand_stores(), data=st.data())
+def test_hand_written_store_matches_reference(text, data):
+    store = parse_store(text)
+    ref = ref_parse(text)
+    assert gate_lists(store) == gate_lists(ref)
+    assert format_store(store) == ref_format(ref)
+    pool = sorted({g for t in ref.templates for g in t.gates})
+    for _ in range(3):
+        circuit = data.draw(circuits(pool))
+        assert optimize(circuit, store) == ref_optimize(circuit, ref)
+
+
+@SETTINGS
+@given(text=hand_stores(), data=st.data())
+def test_loader_errors_match_reference(text, data):
+    lines = text.splitlines()
+    bad = Permutation(data.draw(st.permutations(range(4))))
+    line = f"template: {bad.one_line()};{bad.one_line()}"
+    lines.insert(data.draw(st.integers(1, len(lines))), line)
+    text = "\n".join(lines) + "\n"
+    if bad.is_involution():
+        assert gate_lists(parse_store(text)) == gate_lists(ref_parse(text))
+        return
+    with pytest.raises(FileFormatError) as ours:
+        parse_store(text)
+    with pytest.raises(FileFormatError) as theirs:
+        ref_parse(text)
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_store_shared_across_threads():
+    # threads optimizing with one loaded store intern the circuits' new
+    # gates into its table at the same time; each must still get the
+    # result of a store used by one thread
+    text = ("templates dim=4\n"
+            "template: (2,4,3,1);(2,4,3,1);(1,4,2,3);(3,2,4,1)\n"
+            "template: (2,4,3,1);(1,4,2,3);(3,4,2,1);(3,4,2,1)\n"
+            "template: (2,1,3,4);(2,1,3,4)\n")
+    rng = random.Random(7)
+    circuits = [Circuit(2, [GateInstance(named_gate(rng.choice(S4)), (0, 1))
+                            for _ in range(12)]) for _ in range(16)]
+    expected = [optimize(c, parse_store(text)) for c in circuits]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            store = parse_store(text)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda c: optimize(c, store), circuits,
+                                        timeout=60))
+            assert results == expected
+            images = store._table.images
+            assert len(set(images)) == len(images)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# --- byte identity ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("dimension, max_size, digest", [
+    (3, 5, "2da404f450b2274f5083fe85718727dba9522dd0e39175cd870a1f3cfd9d6cb0"),
+    (3, 6, "b4b16a21fe9914125889a086e4581fb403d33a5c8c44dd40ecf260e36303cd17"),
+    (4, 3, "8016de5d18a51b21d33ac16b8f199b3ad979578aac2a6f055b55756dc593f77b"),
+    (4, 4, "e65d7e81e7cc4e2b671dbd1216f15386ea168c727d93fd78438fb1e9639d9204"),
+])
+def test_store_bytes_are_pinned(dimension, max_size, digest):
+    # digests of the store files written by the Permutation-level search
+    text = format_store(generate_templates(GateLibrary.symmetric_group(dimension),
+                                           max_size))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest

@@ -8,6 +8,7 @@ from permgate.errors import (
     DimensionError,
     FileFormatError,
 )
+from permgate.gatetable import GateTable
 from permgate.perm import Permutation, enumerate_permutations
 from permgate.templates import (
     GateLibrary,
@@ -82,10 +83,21 @@ class TestGateLibrary:
             GateLibrary(2, [("a", Permutation([0, 1, 2]))])
 
     def test_closure_check(self):
-        GateLibrary.symmetric_group(3).require_group_closed()
+        s3 = GateLibrary.symmetric_group(3)
+        assert s3.require_group_closed() == multiplication_table(s3)
         open_lib = GateLibrary(2, [("X", Permutation([1, 0]))])
         with pytest.raises(ClosureError, match="'X'"):
             open_lib.require_group_closed()
+
+    def test_closure_check_is_capped(self):
+        # 721 rotations of 1000 points: over the cap, and not closed
+        lib = GateLibrary(1000, [(f"g{i}", _rotation(1000, i)) for i in range(721)])
+        with pytest.raises(CapExceeded, match="--force"):
+            lib.require_group_closed()
+        with pytest.raises(CapExceeded):
+            generate_templates(lib, 2)
+        with pytest.raises(ClosureError, match="'g1' \\* 'g720'"):
+            generate_templates(lib, 2, force=True)
 
 
 class TestMultiplicationTable:
@@ -329,15 +341,16 @@ class TestStoreFiles:
             parse_store(text)
 
     def test_loader_verifies_each_line_once(self, monkeypatch):
+        # lines are verified as index words in the store's gate table
         store = generate_templates(s4_library(), 3)
         calls = []
-        verifies = Template.verifies
+        verifies = GateTable.is_identity_word
 
-        def counted(t):
-            calls.append(t)
-            return verifies(t)
+        def counted(table, word):
+            calls.append(word)
+            return verifies(table, word)
 
-        monkeypatch.setattr(Template, "verifies", counted)
+        monkeypatch.setattr(GateTable, "is_identity_word", counted)
         loaded = parse_store(format_store(store))
         assert len(loaded) == len(store)
         assert len(calls) == len(store)
