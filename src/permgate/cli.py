@@ -23,7 +23,7 @@ from . import counting
 from .classify import classify_all
 from .counting import render_percent
 from .errors import CapExceeded, PermGateError
-from .perm import check_enumeration_cap
+from .perm import ENUMERATION_CAP, check_enumeration_cap, involutions
 from .templates import (
     MAX_TEMPLATE_SIZE,
     GateLibrary,
@@ -36,6 +36,10 @@ from .templates import (
 # stats computes (2^n)! and a(2^n) exactly: on an Intel Xeon it takes 0.4 s
 # at 14 qubits, 1.7 s at 15 and about 4.5 times longer per qubit after that
 STATS_CAP = 14
+
+# enumerate writes its lines in chunks of at most this many, so output
+# streams in bounded memory with one write call per chunk
+ENUMERATE_CHUNK = 1024
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,21 +129,32 @@ def _cmd_enumerate(args, parser) -> int:
     if m < 1:
         parser.error("--dimension must be >= 1")
     check_enumeration_cap(m, args.force)
-    want = {"all": None, "involution": True, "non-involution": False}[args.filter]
-    # Permuting the entries' digit strings in step with the 0-based images
-    # gives each line's text without converting one number per entry; both
-    # permutations() calls yield the same positional order, which is the
-    # lexicographic order of the images.  No Permutation is built per line.
-    ident = tuple(range(m))
+    # A line is the entries' digit strings permuted in step with the 0-based
+    # images: itertools.permutations yields the same positional order for
+    # both, which is the lexicographic order of the images.  The pipeline
+    # runs in C and builds no Permutation per line.
     tokens = [str(k) for k in range(1, m + 1)]
+    involution_lines = (",".join(map(tokens.__getitem__, p))
+                        for p in involutions(m, args.force))
+    if args.filter == "involution":
+        lines = involution_lines
+    else:
+        lines = map(",".join, itertools.permutations(tokens))
+    if args.filter == "non-involution" and m <= ENUMERATION_CAP:
+        lines = itertools.filterfalse(set(involution_lines).__contains__,
+                                      lines)
+    elif args.filter == "non-involution":
+        # past the cap (--force) the a(m) texts would not fit in memory, so
+        # each line's images are tested instead
+        ident = tuple(range(m))
+        lines = itertools.compress(lines, (
+            tuple(map(p.__getitem__, p)) != ident
+            for p in itertools.permutations(ident)))
     write = sys.stdout.write
     count = 0
-    for p, text in zip(itertools.permutations(ident),
-                       itertools.permutations(tokens)):
-        if want is not None and (tuple(map(p.__getitem__, p)) == ident) != want:
-            continue
-        write("(" + ",".join(text) + ")\n")
-        count += 1
+    while chunk := list(itertools.islice(lines, ENUMERATE_CHUNK)):
+        write("(" + ")\n(".join(chunk) + ")\n")
+        count += len(chunk)
     print(f"count={count}", file=sys.stderr)
     return 0
 

@@ -180,3 +180,38 @@ def enumerate_permutations(size: int, force: bool = False) -> Iterator[Permutati
     check_enumeration_cap(size, force)
     for images in itertools.permutations(range(size)):
         yield Permutation(images)
+
+
+def involutions(size: int, force: bool = False) -> Iterator[tuple[int, ...]]:
+    """Yield the 0-based images of the a(size) involutions of S_size in
+    lexicographic order, without walking S_size.
+
+    Depth-first search: the smallest unassigned point is either fixed or
+    swapped with a larger unassigned point, tried in ascending order.  That
+    point is the first position the branches differ in, so the images come
+    out sorted.  The search keeps its own stack, so any forced size works.
+    """
+    check_enumeration_cap(size, force)
+    images = [-1] * size
+    chosen = []  # the points that picked a partner, in order
+    point = partner = 0  # point tries partner next (itself: a fixed point)
+    while True:
+        while point < size:
+            while partner < size and images[partner] != -1:
+                partner += 1
+            if partner == size:
+                break
+            images[point] = partner
+            images[partner] = point
+            chosen.append(point)
+            while point < size and images[point] != -1:
+                point += 1
+            partner = point
+        else:
+            yield tuple(images)
+        if not chosen:
+            return
+        point = chosen.pop()
+        partner = images[point]
+        images[point] = images[partner] = -1
+        partner += 1

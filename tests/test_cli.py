@@ -1,9 +1,11 @@
 import decimal
+import itertools
 import math
+import sys
 
 import pytest
 
-from permgate import counting
+from permgate import cli, counting
 from permgate.cli import main
 from permgate.perm import Permutation, enumerate_permutations
 from permgate.templates import GateLibrary, load_store
@@ -37,6 +39,27 @@ def listing_oracle(m, which):
     lines = [p.one_line() for p in enumerate_permutations(m) if keep(p)]
     lines.sort(key=lambda line: tuple(int(t) for t in line[1:-1].split(",")))
     return "".join(line + "\n" for line in lines)
+
+
+class WriteRecorder:
+    """A stdout stand-in that keeps each write call's text; after `limit`
+    calls it raises Stopped, to cut off a listing that would not end."""
+
+    class Stopped(Exception):
+        pass
+
+    def __init__(self, limit=None):
+        self.writes = []
+        self.limit = limit
+
+    def write(self, text):
+        if len(self.writes) == self.limit:
+            raise self.Stopped
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
 
 
 class TestStats:
@@ -166,10 +189,59 @@ class TestEnumerate:
             raise AssertionError("enumerate built a Permutation")
 
         monkeypatch.setattr(Permutation, "__init__", refuse)
-        code, out, err = run(capsys, "enumerate", "--dimension", "5")
+        for which, count in [("all", 120), ("involution", 26),
+                             ("non-involution", 94)]:
+            code, out, err = run(capsys, "enumerate", "--dimension", "5",
+                                 "--filter", which)
+            assert code == 0
+            assert len(out.splitlines()) == count
+            assert err == f"count={count}\n"
+
+    @pytest.mark.parametrize("m", [10, 12])
+    def test_multi_digit_involutions(self, capsys, m):
+        code, out, err = run(capsys, "enumerate", "--dimension", str(m),
+                             "--filter", "involution")
         assert code == 0
-        assert len(out.splitlines()) == 120
-        assert err == "count=120\n"
+        assert err == f"count={counting.involution_count(m)}\n"
+        lines = out.splitlines()
+        keys = [tuple(int(t) for t in line[1:-1].split(",")) for line in lines]
+        assert keys == sorted(keys)
+        # as strings, "(1,10,...)" would sort before "(1,2,...)"
+        assert lines != sorted(lines)
+        assert all(Permutation.from_one_line(line).is_involution()
+                   for line in lines)
+        assert lines[0] == "(" + ",".join(map(str, range(1, m + 1))) + ")"
+        assert lines[-1] == "(" + ",".join(map(str, range(m, 0, -1))) + ")"
+
+    def test_streams_in_bounded_chunks(self, monkeypatch):
+        recorder = WriteRecorder()
+        monkeypatch.setattr(sys, "stdout", recorder)
+        assert main(["enumerate", "--dimension", "8"]) == 0
+        sizes = [text.count("\n") for text in recorder.writes]
+        assert len(sizes) > 1
+        assert max(sizes) <= cli.ENUMERATE_CHUNK
+        assert sum(sizes) == math.factorial(8)
+        assert "".join(recorder.writes) == listing_oracle(8, "all")
+
+    def test_forced_non_involutions_stream_without_the_involution_set(
+            self, monkeypatch):
+        # past the cap a(m) texts would not fit in memory, so they are not
+        # built; the first chunk of S_13's listing is checked, then cut off
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerate listed the involutions")
+            yield  # a generator, so only listing fails
+
+        monkeypatch.setattr(cli, "involutions", refuse)
+        recorder = WriteRecorder(limit=1)
+        monkeypatch.setattr(sys, "stdout", recorder)
+        with pytest.raises(WriteRecorder.Stopped):
+            main(["enumerate", "--dimension", "13", "--force",
+                  "--filter", "non-involution"])
+        head = itertools.islice(itertools.permutations(range(13)), 5000)
+        expected = ["(" + ",".join(str(k + 1) for k in p) + ")"
+                    for p in head if not Permutation(p).is_involution()]
+        assert recorder.writes[0].splitlines() == (
+            expected[:cli.ENUMERATE_CHUNK])
 
     def test_byte_determinism(self, capsys):
         _, first, _ = run(capsys, "enumerate", "--dimension", "3")

@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
+from permgate.counting import involution_count
 from permgate.errors import CapExceeded, DimensionError, NotationError
-from permgate.perm import Permutation, enumerate_permutations
+from permgate.perm import Permutation, enumerate_permutations, involutions
 
 
 def s4():
@@ -175,6 +176,28 @@ class TestEnumerate:
         gen = enumerate_permutations(13, force=True)
         first = next(gen)
         assert first == Permutation.identity(13)
+
+
+class TestInvolutions:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_enumeration(self, m):
+        assert list(involutions(m)) == [
+            p.images for p in enumerate_permutations(m) if p.is_involution()]
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_counts_match_recurrence(self, m):
+        assert sum(1 for _ in involutions(m)) == involution_count(m)
+
+    def test_cap_refusal(self):
+        with pytest.raises(CapExceeded, match="cap is 12"):
+            next(involutions(13))
+
+    def test_forced_past_the_recursion_limit(self):
+        # the search keeps its own stack, so a forced size of 2000 points
+        # yields the identity, then the swap of the last two points
+        gen = involutions(2000, force=True)
+        assert next(gen) == tuple(range(2000))
+        assert next(gen) == tuple(range(1998)) + (1999, 1998)
 
 
 class TestMatrix:
