@@ -5,21 +5,21 @@ Wire w is bit w of the 2**n basis index (wire 0 = least significant).  In
 an instance's wire list the first wire carries the gate's most significant
 index bit, so `gate CNOT c t` has its control first and `CNOT` itself is
 the permutation (1,2,4,3).  circuit_permutation is the one routine that
-maps a circuit to its permutation.
+maps a circuit to its permutation, and equivalent compares two circuits
+through it.  Only these load numpy, on their first call, so the census
+commands never import it.
 
 Rewriting never widens a circuit: adjacent mutually-inverse pairs on the
 same wires are deleted, and any window matching a strict majority of a
 stored identity template (read cyclically) is replaced by the inverted
 remainder, which is always shorter.  Both passes preserve the circuit's
 permutation by construction; the CLI's optimize command re-checks that
-with circuit_permutation before it writes the result.
+with equivalent before it writes the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DimensionError, FileFormatError, WiringError, _read_ascii
 from .perm import Permutation
@@ -143,6 +143,8 @@ def circuit_permutation(circuit: Circuit) -> Permutation:
     bits on its wires into a local index (first wire = top bit), maps it,
     and scatters the image's bits back, leaving every other bit fixed.
     """
+    import numpy as np  # only circuit semantics need numpy
+
     x = np.arange(2 ** circuit.n_wires)
     for inst in circuit.gates:
         k = len(inst.wires)
@@ -152,6 +154,19 @@ def circuit_permutation(circuit: Circuit) -> Permutation:
         kept = x & ~sum(1 << w for w in inst.wires)
         x = kept | sum((mapped >> b & 1) << w for w, b in bits)
     return Permutation(x.tolist())
+
+
+def equivalent(a: Circuit, b: Circuit) -> int | None:
+    """None when the two circuits have the same permutation, else the first
+    basis index they send to different images."""
+    if a.n_wires != b.n_wires:
+        raise DimensionError(
+            f"wire counts differ ({a.n_wires} vs {b.n_wires})"
+        )
+    pa, pb = circuit_permutation(a), circuit_permutation(b)
+    if pa == pb:
+        return None
+    return next(i for i in range(pa.size) if pa(i) != pb(i))
 
 
 def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:

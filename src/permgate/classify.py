@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import math
 
-from .counting import involution_count
+from .counting import _gate_count, involution_count
 from .errors import CapExceeded, DimensionError
 from .perm import Permutation, enumerate_permutations
 
@@ -174,7 +174,7 @@ def _check_census_cap(n_qubits: int, force: bool) -> None:
         raise DimensionError(f"invalid qubit count {n_qubits}")
     if n_qubits > CENSUS_CAP and not force:
         raise CapExceeded(
-            f"census over S_{2 ** n_qubits} refused: cap is {CENSUS_CAP} "
+            f"census over {n_qubits} qubits refused: cap is {CENSUS_CAP} "
             f"qubits ((2^{CENSUS_CAP})! gates); pass force=True "
             f"(--force on the command line) to override"
         )
@@ -183,7 +183,7 @@ def _check_census_cap(n_qubits: int, force: bool) -> None:
 def classify_all(n_qubits: int, force: bool = False) -> CensusReport:
     """Involution and separability tallies over S_{2^n}, counted exactly."""
     _check_census_cap(n_qubits, force)
-    total = math.factorial(2 ** n_qubits)
+    total = _gate_count(n_qubits)
     hermitian = involution_count(2 ** n_qubits)
     separable = _separable_count(n_qubits)
     return CensusReport(

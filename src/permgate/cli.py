@@ -112,7 +112,7 @@ def _cmd_stats(args, parser) -> int:
             f"qubits; pass --force to override"
         )
     dim = 2 ** args.qubits
-    total = math.factorial(dim)
+    total = counting._gate_count(args.qubits)
     hermitian = counting.involution_count(dim)
     ratio = Fraction(total - hermitian, total)
     print(f"qubits={args.qubits}")
@@ -199,7 +199,7 @@ def _cmd_optimize(args, parser) -> int:
     circuit = circ.load_circuit(args.circuit, force=args.force)
     store = load_store(args.templates) if args.templates else None
     optimized, report = circ.optimize(circuit, store, budget=args.budget)
-    if circ.circuit_permutation(optimized) != circ.circuit_permutation(circuit):
+    if circ.equivalent(optimized, circuit) is not None:
         print("internal error: optimized circuit is not equivalent; "
               "no output written", file=sys.stderr)
         return 1
@@ -217,20 +217,15 @@ def _cmd_verify(args, parser) -> int:
     try:
         a = circ.load_circuit(args.circuit[0], force=args.force)
         b = circ.load_circuit(args.circuit[1], force=args.force)
+        first = circ.equivalent(a, b)
     except (PermGateError, OSError) as exc:
-        # exit 1 is reserved for DIFFER here, so unusable inputs are usage
+        # exit 1 is reserved for DIFFER here, so unusable inputs (unreadable,
+        # or of different wire counts) are usage
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if a.n_wires != b.n_wires:
-        print(f"error: wire counts differ ({a.n_wires} vs {b.n_wires})",
-              file=sys.stderr)
-        return 2
-    pa = circ.circuit_permutation(a)
-    pb = circ.circuit_permutation(b)
-    if pa == pb:
+    if first is None:
         print("EQUIVALENT")
         return 0
-    first = next(i for i in range(pa.size) if pa(i) != pb(i))
     print("DIFFER")
     print(f"first differing basis index: {first}", file=sys.stderr)
     return 1

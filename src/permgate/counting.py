@@ -8,9 +8,11 @@ reduced).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from fractions import Fraction
 
 import math
+import sys
 
 from .errors import DimensionError
 
@@ -39,6 +41,22 @@ def involution_count(m: int) -> int:
     return prev1
 
 
+def _gate_count(n_qubits: int) -> int:
+    """(2^n)!, the number of permutation gates on n qubits.
+
+    math.factorial takes at most a C long (2^63 - 1 on 64-bit Linux), so
+    from n = 63 on this is a DimensionError rather than an OverflowError;
+    2^n is not even built where it would pass sys.maxsize.
+    """
+    if n_qubits < sys.maxsize.bit_length():
+        with suppress(OverflowError):
+            return math.factorial(2 ** n_qubits)
+    raise DimensionError(
+        f"the (2^{n_qubits})! gates on {n_qubits} qubits are past what "
+        f"math.factorial can count"
+    )
+
+
 def non_hermitian_fraction(n_qubits: int) -> Fraction:
     """Exact fraction of n-qubit permutation gates that are not self-inverse.
 
@@ -50,9 +68,8 @@ def non_hermitian_fraction(n_qubits: int) -> Fraction:
         raise DimensionError(
             f"qubit count {n_qubits} out of range 1..{MAX_QUBITS}"
         )
-    dim = 2 ** n_qubits
-    total = math.factorial(dim)
-    return Fraction(total - involution_count(dim), total)
+    total = _gate_count(n_qubits)
+    return Fraction(total - involution_count(2 ** n_qubits), total)
 
 
 def render_percent(ratio: Fraction, decimals: int) -> str:

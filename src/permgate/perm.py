@@ -17,8 +17,6 @@ from typing import Iterable, Iterator
 
 import itertools
 
-import numpy as np
-
 from .errors import CapExceeded, DimensionError, NotationError
 
 # 12! is about 4.8e8; anything above that is refused without an override.
@@ -125,12 +123,14 @@ class Permutation:
         imgs = self._images
         return all(imgs[img] == j for j, img in enumerate(imgs))
 
-    def matrix(self) -> np.ndarray:
+    def matrix(self) -> "numpy.ndarray":
         """0/1 permutation matrix with entry[i][j] = 1 iff images[j] = i.
 
         The result is orthogonal: m @ m.T is the identity, and m is
         symmetric exactly when the permutation is an involution.
         """
+        import numpy as np  # only matrices and circuit semantics need numpy
+
         m = np.zeros((self.size, self.size), dtype=np.uint8)
         for j, img in enumerate(self._images):
             m[img, j] = 1

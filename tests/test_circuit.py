@@ -10,6 +10,7 @@ from permgate.circuit import (
     GateInstance,
     cancel_adjacent_inverses,
     circuit_permutation,
+    equivalent,
     format_circuit,
     load_circuit,
     named_gate,
@@ -221,6 +222,42 @@ class TestCircuitPermutation:
             c1 = Circuit(3, [a, b])
             c2 = Circuit(3, [b, a])
             assert circuit_permutation(c1) == circuit_permutation(c2)
+
+
+class TestEquivalent:
+    def test_same_permutation(self):
+        swap = Circuit(2, [inst(SWAP, 0, 1)])
+        cnots = Circuit(2, [inst(CNOT, 0, 1), inst(CNOT, 1, 0),
+                            inst(CNOT, 0, 1)])
+        assert equivalent(swap, cnots) is None
+        assert equivalent(Circuit(1, [inst(X, 0), inst(X, 0)]),
+                          Circuit(1)) is None
+
+    def test_witness_zero(self):
+        # index 0 is a witness too, not a false "equivalent"
+        assert equivalent(Circuit(1, [inst(X, 0)]), Circuit(1)) == 0
+
+    def test_first_differing_index_oracle(self):
+        rng = random.Random(29)
+        for trial in range(60):
+            n = trial % 6 + 1
+            a = random_circuit(rng, n, rng.randint(0, 8))
+            # a with a cancelling X pair, a random circuit, or a with one
+            # more controlled gate, which moves only the indices a sends to
+            # where its controls are set
+            g = [X, CNOT, TOFFOLI][min(n, 3) - 1]
+            tail = ((inst(X, n - 1),) * 2 if trial % 3 == 0
+                    else (inst(g, *rng.sample(range(n), g.n_qubits)),))
+            b = (random_circuit(rng, n, rng.randint(0, 8)) if trial % 3 == 1
+                 else Circuit(n, a.gates + tail))
+            expected = next((x for x in range(2 ** n)
+                             if propagate(a, x) != propagate(b, x)), None)
+            assert equivalent(a, b) == expected
+            assert equivalent(b, a) == expected
+
+    def test_wire_counts_must_match(self):
+        with pytest.raises(DimensionError, match="wire counts differ"):
+            equivalent(Circuit(1), Circuit(2))
 
 
 class TestCancelAdjacentInverses:

@@ -130,6 +130,15 @@ class TestStats:
         code, out, err = run(capsys, "stats", "--qubits", "3", "--force")
         assert (code, out, err) == (0, expected, "")
 
+    @pytest.mark.parametrize("qubits", ["63", "64"])
+    def test_forced_past_math_factorial_is_domain_error(self, capsys, qubits):
+        # (2^63)! is past the C long that math.factorial takes
+        code, out, err = run(capsys, "stats", "--qubits", qubits, "--force",
+                             "--decimals", "0")
+        assert (code, out) == (1, "")
+        assert err == (f"error: the (2^{qubits})! gates on {qubits} qubits "
+                       f"are past what math.factorial can count\n")
+
 
 class TestEnumerate:
     def test_dimension_two(self, capsys):
@@ -273,6 +282,20 @@ class TestClassify:
         assert code == 1
         assert "cap" in err
         assert "--force" in err
+
+    def test_cap_refusal_names_the_qubit_count(self, capsys):
+        # S_{2^99999} would print 2^99999, past the 4300-digit int-to-str limit
+        code, out, err = run(capsys, "classify", "--qubits", "99999")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: census over 99999 qubits refused: ")
+        assert "--force" in err
+
+    @pytest.mark.parametrize("qubits", ["63", "99999"])
+    def test_forced_past_math_factorial_is_domain_error(self, capsys, qubits):
+        code, out, err = run(capsys, "classify", "--qubits", qubits, "--force")
+        assert (code, out) == (1, "")
+        assert err == (f"error: the (2^{qubits})! gates on {qubits} qubits "
+                       f"are past what math.factorial can count\n")
 
     def test_force_answers_past_the_cap(self, capsys):
         code, out, err = run(capsys, "classify", "--qubits", "4", "--force")

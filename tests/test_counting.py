@@ -94,6 +94,12 @@ class TestNonHermitianFraction:
         with pytest.raises(DimensionError):
             non_hermitian_fraction(65)
 
+    def test_past_math_factorial(self):
+        # (2^63)! is past the C long that math.factorial takes
+        for n_qubits in (63, 64):
+            with pytest.raises(DimensionError, match="math.factorial"):
+                non_hermitian_fraction(n_qubits)
+
 
 class TestRenderPercent:
     def test_published_figures(self):
