@@ -15,6 +15,9 @@ stored identity template (read cyclically) is replaced by the inverted
 remainder, which is always shorter.  Both passes preserve the circuit's
 permutation by construction; the CLI's optimize command re-checks that
 with equivalent before it writes the result.
+
+The passes work on a plain list of the input's gates, splicing each
+rewrite into it in place; each public call builds one Circuit, at the end.
 """
 
 from __future__ import annotations
@@ -95,8 +98,8 @@ class GateInstance:
 class Circuit:
     """n wires plus an ordered tuple of gate instances.
 
-    Treat instances as immutable: passes return new circuits and never
-    touch their input, so circuits are safe to share across threads.
+    Treat instances as immutable: passes edit a list copy of the gates and
+    never touch their input, so circuits are safe to share across threads.
     """
 
     def __init__(self, n_wires: int, gates=(), force: bool = False):
@@ -126,13 +129,6 @@ class Circuit:
 
     def __repr__(self) -> str:
         return f"Circuit(n_wires={self.n_wires}, gates={len(self.gates)})"
-
-    def replaced(self, start: int, count: int, new_gates) -> "Circuit":
-        return Circuit(
-            self.n_wires,
-            self.gates[:start] + tuple(new_gates) + self.gates[start + count:],
-            force=True,
-        )
 
 
 def circuit_permutation(circuit: Circuit) -> Permutation:
@@ -172,17 +168,22 @@ def equivalent(a: Circuit, b: Circuit) -> int | None:
 def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
     """Delete adjacent pairs on identical wire lists whose permutations are
     mutual inverses, to fixpoint."""
+    return Circuit(circuit.n_wires, _cancel_inverses(circuit.gates), force=True)
+
+
+def _cancel_inverses(gates) -> list[GateInstance]:
+    """cancel_adjacent_inverses on a gate sequence, as a new list."""
     out: list[GateInstance] = []
-    for inst in circuit.gates:
+    for inst in gates:
         if (out and out[-1].wires == inst.wires
                 and (out[-1].gate.perm * inst.gate.perm).is_identity()):
             out.pop()
         else:
             out.append(inst)
-    return Circuit(circuit.n_wires, out, force=True)
+    return out
 
 
-def _find_rewrite(circuit: Circuit, scan, dimension: int, resume: int):
+def _find_rewrite(gates: list[GateInstance], scan, resume: int):
     """First applicable rewrite at or after gate `resume` under the fixed
     scan order: leftmost window, longest template first (then store
     order), largest match, first cyclic offset.  Returns (start,
@@ -191,12 +192,11 @@ def _find_rewrite(circuit: Circuit, scan, dimension: int, resume: int):
     Each window's product is one walk in the store's gate table, and the
     store's lookup answers each (length, product) pair at once; a gate the
     table has not met yet is interned on the way."""
-    gates = circuit.gates
-    longest, first = scan.longest, scan.first
-    intern, mul = scan.table.intern, scan.table.mul
+    longest, first, table = scan.longest, scan.first, scan.table
+    intern, mul = table.intern, table.mul
     for start in range(resume, len(gates)):
         wires = gates[start].wires
-        if 2 ** len(wires) != dimension:
+        if 2 ** len(wires) != table.dimension:
             continue
         run = 1
         while (run < longest and start + run < len(gates)
@@ -233,11 +233,14 @@ def template_rewrite(
     fixpoint or budget; the circuit permutation is preserved and the gate
     count never increases.
     """
-    circuit, _ = _template_rewrite_counted(circuit, store, budget)
-    return circuit
+    gates = list(circuit.gates)
+    _template_rewrite(gates, store, budget)
+    return Circuit(circuit.n_wires, gates, force=True)
 
 
-def _template_rewrite_counted(circuit, store, budget):
+def _template_rewrite(gates: list[GateInstance], store, budget: int) -> int:
+    """template_rewrite on a gate list, splicing each rewrite in place;
+    returns the number of rewrites."""
     if budget < 0:
         raise ValueError(f"negative rewrite budget {budget}")
     if store.dimension & (store.dimension - 1):
@@ -249,16 +252,16 @@ def _template_rewrite_counted(circuit, store, budget):
     applied = 0
     resume = 0
     while applied < budget:
-        hit = _find_rewrite(circuit, scan, store.dimension, resume)
+        hit = _find_rewrite(gates, scan, resume)
         if hit is None:
             break
         start, count, replacement = hit
-        circuit = circuit.replaced(start, count, replacement)
+        gates[start:start + count] = replacement
         applied += 1
         # a window starting before this reads only gates before `start`,
         # which did not change, and it failed in this scan or an earlier one
         resume = max(0, start - scan.longest + 1)
-    return circuit, applied
+    return applied
 
 
 @dataclass
@@ -279,27 +282,26 @@ def optimize(
     budget: int = DEFAULT_REWRITE_BUDGET,
 ) -> tuple[Circuit, OptimizeReport]:
     """Alternate inverse cancellation and template rewriting to fixpoint."""
-    before = len(circuit.gates)
+    gates = circuit.gates
     cancelled = 0
     rewrites = 0
-    current = circuit
     while True:
-        shrunk = cancel_adjacent_inverses(current)
-        cancelled += len(current.gates) - len(shrunk.gates)
-        current = shrunk
+        shrunk = _cancel_inverses(gates)
+        cancelled += len(gates) - len(shrunk)
+        gates = shrunk
         if store is None or rewrites >= budget:
             break
-        current, applied = _template_rewrite_counted(current, store, budget - rewrites)
+        applied = _template_rewrite(gates, store, budget - rewrites)
         rewrites += applied
         if applied == 0:
             break
     report = OptimizeReport(
-        gates_before=before,
-        gates_after=len(current.gates),
+        gates_before=len(circuit.gates),
+        gates_after=len(gates),
         cancelled_gates=cancelled,
         template_rewrites=rewrites,
     )
-    return current, report
+    return Circuit(circuit.n_wires, gates, force=True), report
 
 
 # --- circuit file format ---------------------------------------------------

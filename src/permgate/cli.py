@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import decimal
 import itertools
-import math
 import sys
 from fractions import Fraction
 
@@ -27,7 +26,6 @@ from .perm import ENUMERATION_CAP, check_enumeration_cap, involutions
 from .templates import (
     MAX_TEMPLATE_SIZE,
     GateLibrary,
-    check_table_cap,
     generate_templates,
     load_store,
     save_store,
@@ -184,8 +182,6 @@ def _cmd_templates(args, parser) -> int:
         parser.error("--dimension must be a power of two >= 2")
     if not 2 <= args.max_size <= MAX_TEMPLATE_SIZE:
         parser.error(f"--max-size must be in 2..{MAX_TEMPLATE_SIZE}")
-    # the table's cap, checked before S_m is built
-    check_table_cap(math.factorial(m), args.force)
     library = GateLibrary.symmetric_group(m, force=args.force)
     store = generate_templates(library, args.max_size, force=args.force)
     save_store(store, args.out)

@@ -32,6 +32,7 @@ the order a file names its gates) gives the same stores.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -69,7 +70,12 @@ class GateLibrary:
 
     @classmethod
     def symmetric_group(cls, dimension: int, force: bool = False) -> "GateLibrary":
-        """The full library S_dimension, gates named by one-line notation."""
+        """The full library S_dimension, gates named by one-line notation;
+        past the multiplication table's cap it is refused unless force is
+        set, before any gate is built."""
+        # dimension! may be too large to compute, and 7! already passes the cap
+        check_table_cap(math.prod(range(2, min(dimension, 7) + 1)), force,
+                        f"the {dimension}! gates of S_{dimension}")
         return cls(dimension, [(p.one_line(), p)
                                for p in enumerate_permutations(dimension, force)])
 
@@ -82,26 +88,17 @@ class GateLibrary:
     def index_of(self, gate: Permutation) -> int:
         return self._index[gate]
 
-    def require_group_closed(self, force: bool = False) -> list[list[int]]:
-        """Check closure and return the multiplication table.
 
-        Closure under products is enough: in a finite set closed under
-        products every gate's powers cycle back to the identity, so its
-        inverse is one of them.  The |L|^2 products go through the one
-        MULT_TABLE_CAP check; raises ClosureError naming the first missing
-        product.
-        """
-        return multiplication_table(self, force)
-
-
-def check_table_cap(n_gates: int, force: bool = False) -> None:
+def check_table_cap(n_gates: int, force: bool = False,
+                    gates: str | None = None) -> None:
     """Refuse a multiplication table over more than MULT_TABLE_CAP gates
-    (|L|^2 products) unless force is set."""
+    (|L|^2 products) unless force is set.  The refusal names the gates by
+    `gates` when given, else by their count."""
     if n_gates > MULT_TABLE_CAP and not force:
         raise CapExceeded(
-            f"multiplication table for {n_gates} gates refused: cap is "
-            f"{MULT_TABLE_CAP}; pass force=True (--force on the command "
-            f"line) to override"
+            f"multiplication table for {gates or f'{n_gates} gates'} "
+            f"refused: cap is {MULT_TABLE_CAP}; pass force=True (--force on "
+            f"the command line) to override"
         )
 
 
@@ -109,8 +106,10 @@ def multiplication_table(library: GateLibrary, force: bool = False) -> list[list
     """table[i][j] = library index of gates[i] * gates[j].
 
     Requires a group-closed library; raises ClosureError naming the first
-    missing product otherwise.  Every row and column is a permutation of
-    the library indices.
+    missing product otherwise.  Closure under products is enough: in a
+    finite set closed under products every gate's powers cycle back to the
+    identity, so its inverse is one of them.  Every row and column is a
+    permutation of the library indices.
     """
     check_table_cap(len(library), force)
     images = [g.images for g in library.gates]
@@ -392,7 +391,7 @@ def generate_templates(
     if not 2 <= max_size <= MAX_TEMPLATE_SIZE:
         raise ValueError(f"max_size {max_size} out of range 2..{MAX_TEMPLATE_SIZE}")
     table = GateTable(library.dimension, library.gates,
-                       library.require_group_closed(force))
+                       multiplication_table(library, force))
     store = TemplateStore(library.dimension)
     store._table = table
     mul, inv, keys = table.mul, table.inv, store._keys

@@ -5,10 +5,10 @@ import sys
 
 import pytest
 
-from permgate import cli, counting
+from permgate import cli, counting, templates
 from permgate.cli import main
 from permgate.perm import Permutation, enumerate_permutations
-from permgate.templates import GateLibrary, load_store
+from permgate.templates import load_store
 
 NON_INVOLUTIONS_4 = [
     "(1,3,4,2)", "(1,4,2,3)", "(2,3,1,4)", "(2,3,4,1)", "(2,4,1,3)",
@@ -354,15 +354,29 @@ class TestTemplates:
         assert exc.value.code == 2
 
     def test_oversize_library_is_domain_error(self, capsys, tmp_path, monkeypatch):
-        def refuse(cls, *args, **kwargs):
+        def refuse(*args, **kwargs):
             pytest.fail("the S_8 library was built before the cap check")
 
-        monkeypatch.setattr(GateLibrary, "symmetric_group", classmethod(refuse))
+        monkeypatch.setattr(templates, "enumerate_permutations", refuse)
         code, _, err = run(capsys, "templates", "--dimension", "8",
                            "--max-size", "2", "--out", str(tmp_path / "x.tmpl"))
         assert code == 1
         assert "cap" in err
         assert "--force" in err
+
+    @pytest.mark.parametrize("dimension", ["2048", "9223372036854775808"])
+    def test_cap_refusal_names_the_dimension(self, capsys, tmp_path, dimension):
+        # 2048! has 5895 digits, past the 4300-digit int-to-str limit, and
+        # math.factorial refuses 2^63
+        out_path = tmp_path / "x.tmpl"
+        code, out, err = run(capsys, "templates", "--dimension", dimension,
+                             "--max-size", "2", "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: multiplication table for the "
+                              f"{dimension}! gates of S_{dimension} refused: ")
+        assert "--force" in err
+        assert err.count("\n") == 1
+        assert not out_path.exists()
 
     def test_unwritable_out_is_domain_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "templates", "--dimension", "2",

@@ -176,7 +176,10 @@ def ref_optimize(circuit, store, budget=DEFAULT_REWRITE_BUDGET):
             if hit is None:
                 break
             start, count, replacement = hit
-            circuit = circuit.replaced(start, count, replacement)
+            circuit = Circuit(circuit.n_wires,
+                              circuit.gates[:start] + tuple(replacement)
+                              + circuit.gates[start + count:],
+                              force=True)
             applied += 1
         rewrites += applied
         if applied == 0:
@@ -354,6 +357,29 @@ def test_store_shared_across_threads():
             assert len(set(images)) == len(images)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("blocks", [100, 200])
+def test_optimize_builds_one_circuit_per_call(blocks, monkeypatch):
+    # each block's B, B rewrites to one gate, and X on wire 2 keeps the
+    # blocks apart: `blocks` rewrites in all
+    store = generate_templates(GateLibrary.symmetric_group(4), 3)
+    b = named_gate(Permutation.from_one_line("(4,1,3,2)"))
+    block = [GateInstance(b, (0, 1)), GateInstance(b, (0, 1)),
+             GateInstance(BUILTIN_GATES["X"], (2,))]
+    circuit = Circuit(3, block * blocks)
+    built = []
+    init = Circuit.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Circuit, "__init__", counting_init)
+    optimized, report = optimize(circuit, store)
+    assert report.template_rewrites == blocks
+    assert len(optimized) == 2 * blocks
+    assert len(built) == 1
 
 
 # --- byte identity ----------------------------------------------------------

@@ -83,17 +83,24 @@ class TestGateLibrary:
             GateLibrary(2, [("a", Permutation([0, 1, 2]))])
 
     def test_closure_check(self):
-        s3 = GateLibrary.symmetric_group(3)
-        assert s3.require_group_closed() == multiplication_table(s3)
         open_lib = GateLibrary(2, [("X", Permutation([1, 0]))])
         with pytest.raises(ClosureError, match="'X'"):
-            open_lib.require_group_closed()
+            multiplication_table(open_lib)
+
+    def test_symmetric_group_is_capped_by_its_table(self):
+        # 6! = 720 is the cap; 7! = 5040 passes it
+        assert len(GateLibrary.symmetric_group(6)) == 720
+        with pytest.raises(CapExceeded, match="the 7! gates of S_7 .*--force"):
+            GateLibrary.symmetric_group(7)
+        assert len(GateLibrary.symmetric_group(7, force=True)) == 5040
+        with pytest.raises(DimensionError):
+            GateLibrary.symmetric_group(0)
 
     def test_closure_check_is_capped(self):
         # 721 rotations of 1000 points: over the cap, and not closed
         lib = GateLibrary(1000, [(f"g{i}", _rotation(1000, i)) for i in range(721)])
         with pytest.raises(CapExceeded, match="--force"):
-            lib.require_group_closed()
+            multiplication_table(lib)
         with pytest.raises(CapExceeded):
             generate_templates(lib, 2)
         with pytest.raises(ClosureError, match="'g1' \\* 'g720'"):
