@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import itertools
+import math
 import sys
 from fractions import Fraction
 
@@ -22,7 +24,7 @@ from . import counting
 from .classify import classify_all
 from .counting import render_percent
 from .errors import CapExceeded, PermGateError
-from .perm import ENUMERATION_CAP, check_enumeration_cap, involutions
+from .perm import check_enumeration_cap, involutions
 from .templates import (
     MAX_TEMPLATE_SIZE,
     GateLibrary,
@@ -35,11 +37,14 @@ from .templates import (
 # at 14 qubits, 1.7 s at 15 and about 4.5 times longer per qubit after that
 STATS_CAP = 14
 
-# enumerate writes its lines in chunks of at most this many, so output
-# streams in bounded memory with one write call per chunk
-ENUMERATE_CHUNK = 1024
+# enumerate writes S_m in blocks: the k! lines, k = min(m, ENUMERATE_TAIL),
+# that share their first m - k entries.  Under every filter one write call
+# holds at most ENUMERATE_BLOCK lines, so output streams in bounded memory.
+ENUMERATE_TAIL = 7
+ENUMERATE_BLOCK = math.factorial(ENUMERATE_TAIL)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permgate",
@@ -122,37 +127,86 @@ def _cmd_stats(args, parser) -> int:
     return 0
 
 
+def _write_blocks(m, tokens, skip, write) -> int:
+    """Write S_m's lines in lexicographic order, less the images that the
+    sorted iterator `skip` yields, one block per write; return the count.
+
+    S_m in lexicographic order is one block of k! lines per prefix of
+    m - k entries, the prefixes in the order itertools.permutations yields
+    them, and a block's tail runs over the k points left, ascending, in
+    the order of permutations(range(k)).  So every block is one template
+    translated to the block's points.  The template marks the last
+    min(m, 9) entries of a line, all of it when every token is one digit;
+    its mark "p" is replaced by the text of the other entries whenever
+    that text changes (once, by "(", when m <= 9).  A token of two or more
+    digits is translated to a one-character stand-in, which keeps
+    translate on its ASCII fast path, and then expanded by one replace.
+    A skipped line is cut from its block by a forward search, since every
+    line has the same width.  No Permutation is built and no Python code
+    runs per line.
+    """
+    k = min(m, ENUMERATE_TAIL)
+    j = m - k  # entries in a block's prefix
+    marks, stand_ins = "abcdefghi"[:m], "ABCDEFGHI"
+    fixed = m - len(marks)  # leading entries that the template does not mark
+    template = "".join(
+        "p" + ",".join(marks[:j - fixed] + "".join(tail)) + ")\n"
+        for tail in itertools.permutations(marks[j - fixed:]))
+    width = sum(map(len, tokens)) + m + 2  # every line holds every token
+    count = 0
+    nxt = next(skip, None)
+    head = None
+    for prefix in itertools.permutations(range(m), j):
+        if prefix[:fixed] != head:
+            head = prefix[:fixed]
+            body = template.replace(
+                "p", "(" + "".join(tokens[v] + "," for v in head))
+        points = prefix[fixed:] + tuple(v for v in range(m) if v not in prefix)
+        block = body.translate(str.maketrans(marks, "".join(
+            tokens[v] if len(tokens[v]) == 1 else stand_ins[i]
+            for i, v in enumerate(points))))
+        for i, v in enumerate(points):
+            if len(tokens[v]) > 1:
+                block = block.replace(stand_ins[i], tokens[v])
+        if nxt is not None and nxt[:j] == prefix:
+            pieces, start = [], 0
+            while nxt is not None and nxt[:j] == prefix:
+                at = block.find(
+                    "(" + ",".join(map(tokens.__getitem__, nxt)) + ")\n",
+                    start)
+                pieces.append(block[start:at])
+                start = at + width
+                nxt = next(skip, None)
+            pieces.append(block[start:])
+            block = "".join(pieces)
+        write(block)
+        count += len(block) // width
+    return count
+
+
 def _cmd_enumerate(args, parser) -> int:
     m = args.dimension
     if m < 1:
         parser.error("--dimension must be >= 1")
     check_enumeration_cap(m, args.force)
-    # A line is the entries' digit strings permuted in step with the 0-based
-    # images: itertools.permutations yields the same positional order for
-    # both, which is the lexicographic order of the images.  The pipeline
-    # runs in C and builds no Permutation per line.
+    # The listing is built as text: no Permutation per line.  The
+    # involutions come from their own depth-first search in lexicographic
+    # order, so `involution` lists them without walking S_m and
+    # `non-involution` cuts them out of S_m as both stream, in bounded
+    # memory past the cap too.
     tokens = [str(k) for k in range(1, m + 1)]
-    involution_lines = (",".join(map(tokens.__getitem__, p))
-                        for p in involutions(m, args.force))
-    if args.filter == "involution":
-        lines = involution_lines
-    else:
-        lines = map(",".join, itertools.permutations(tokens))
-    if args.filter == "non-involution" and m <= ENUMERATION_CAP:
-        lines = itertools.filterfalse(set(involution_lines).__contains__,
-                                      lines)
-    elif args.filter == "non-involution":
-        # past the cap (--force) the a(m) texts would not fit in memory, so
-        # each line's images are tested instead
-        ident = tuple(range(m))
-        lines = itertools.compress(lines, (
-            tuple(map(p.__getitem__, p)) != ident
-            for p in itertools.permutations(ident)))
     write = sys.stdout.write
-    count = 0
-    while chunk := list(itertools.islice(lines, ENUMERATE_CHUNK)):
-        write("(" + ")\n(".join(chunk) + ")\n")
-        count += len(chunk)
+    if args.filter == "involution":
+        lines = (",".join(map(tokens.__getitem__, p))
+                 for p in involutions(m, args.force))
+        count = 0
+        while chunk := list(itertools.islice(lines, ENUMERATE_BLOCK)):
+            write("(" + ")\n(".join(chunk) + ")\n")
+            count += len(chunk)
+    else:
+        skip = (involutions(m, args.force) if args.filter == "non-involution"
+                else iter(()))
+        count = _write_blocks(m, tokens, skip, write)
     print(f"count={count}", file=sys.stderr)
     return 0
 

@@ -1,13 +1,15 @@
+import argparse
 import decimal
+import functools
 import itertools
 import math
 import sys
 
 import pytest
 
-from permgate import cli, counting, templates
+from permgate import circuit, cli, counting, templates
 from permgate.cli import main
-from permgate.perm import Permutation, enumerate_permutations
+from permgate.perm import Permutation, enumerate_permutations, involutions
 from permgate.templates import load_store
 
 NON_INVOLUTIONS_4 = [
@@ -31,6 +33,7 @@ def wide_circuit(tmp_path):
     return path
 
 
+@functools.cache
 def listing_oracle(m, which):
     """enumerate's expected stdout, built from Permutation objects."""
     keep = {"all": lambda p: True,
@@ -39,6 +42,30 @@ def listing_oracle(m, which):
     lines = [p.one_line() for p in enumerate_permutations(m) if keep(p)]
     lines.sort(key=lambda line: tuple(int(t) for t in line[1:-1].split(",")))
     return "".join(line + "\n" for line in lines)
+
+
+def first_difference(got, want):
+    """None if the texts are equal, else the first line where they differ
+    and both its versions; on megabytes of text `got == want` would make
+    pytest diff them line by line when they differ."""
+    if got == want:
+        return None
+    pairs = itertools.zip_longest(got.split("\n"), want.split("\n"))
+    return next((number, a, b) for number, (a, b) in enumerate(pairs, 1)
+                if a != b)
+
+
+def listing_head(m, which, count):
+    """The first `count` lines of enumerate's stdout, from
+    itertools.permutations and the plain involution test."""
+    ident = tuple(range(m))
+    keep = {"all": lambda p: True,
+            "non-involution": lambda p: tuple(map(p.__getitem__, p)) != ident
+            }[which]
+    head = itertools.islice(filter(keep, itertools.permutations(ident)), count)
+    tokens = [str(k + 1) for k in ident]
+    return "".join("(" + ",".join(map(tokens.__getitem__, p)) + ")\n"
+                   for p in head)
 
 
 class WriteRecorder:
@@ -60,6 +87,38 @@ class WriteRecorder:
 
     def flush(self):
         pass
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        assert main(["stats", "--qubits", "2"]) == 0
+        assert main(["classify", "--qubits", "1"]) == 0
+        assert len(parsers) == 2
+        assert parsers[0] is parsers[1]
+
+    def test_usage_error_after_a_successful_call(self, capsys):
+        assert run(capsys, "stats", "--qubits", "2")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["stats"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--dimension", "0"])
+        assert exc.value.code == 2
+        assert run(capsys, "stats", "--qubits", "2")[0] == 0
+
+    def test_budget_default_survives_an_explicit_budget(self):
+        parser = cli._build_parser()
+        base = ["optimize", "--circuit", "a.circ", "--out", "b.circ"]
+        assert parser.parse_args(base + ["--budget", "5"]).budget == 5
+        assert parser.parse_args(base).budget == circuit.DEFAULT_REWRITE_BUDGET
 
 
 class TestStats:
@@ -182,12 +241,12 @@ class TestEnumerate:
         assert "--force" in err
 
     @pytest.mark.parametrize("which", ["all", "involution", "non-involution"])
-    @pytest.mark.parametrize("m", range(1, 8))
+    @pytest.mark.parametrize("m", range(1, 9))
     def test_listing_matches_permutation_oracle(self, capsys, m, which):
         code, out, err = run(capsys, "enumerate", "--dimension", str(m),
                              "--filter", which)
         assert code == 0
-        assert out == listing_oracle(m, which)
+        assert first_difference(out, listing_oracle(m, which)) is None
         total, involutions = math.factorial(m), counting.involution_count(m)
         count = {"all": total, "involution": involutions,
                  "non-involution": total - involutions}[which]
@@ -222,35 +281,84 @@ class TestEnumerate:
         assert lines[0] == "(" + ",".join(map(str, range(1, m + 1))) + ")"
         assert lines[-1] == "(" + ",".join(map(str, range(m, 0, -1))) + ")"
 
+    @pytest.mark.parametrize("which", ["all", "involution", "non-involution"])
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_count_is_the_lines_written(self, capsys, m, which):
+        code, out, err = run(capsys, "enumerate", "--dimension", str(m),
+                             "--filter", which)
+        assert code == 0
+        lines = out.count("\n")
+        assert err == f"count={lines}\n"
+
+    @pytest.mark.parametrize("m, writes, which", [
+        (10, 10, "all"), (10, 10, "non-involution"),
+        (12, 10, "all"), (12, 10, "non-involution"), (10, 74, "all")])
+    def test_multi_digit_blocks(self, monkeypatch, m, writes, which):
+        # ten writes cover prefixes that hold a two-digit token, such as
+        # (1,2,10) for m = 10, and blocks that hold involutions; 74 writes
+        # of S_10 pass the first change of the leading entry, at block 73
+        recorder = WriteRecorder(limit=writes)
+        monkeypatch.setattr(sys, "stdout", recorder)
+        with pytest.raises(WriteRecorder.Stopped):
+            main(["enumerate", "--dimension", str(m), "--filter", which])
+        assert max(text.count("\n") for text in recorder.writes) <= (
+            cli.ENUMERATE_BLOCK)
+        text = "".join(recorder.writes)
+        assert first_difference(
+            text, listing_head(m, which, text.count("\n"))) is None
+
     def test_streams_in_bounded_chunks(self, monkeypatch):
         recorder = WriteRecorder()
         monkeypatch.setattr(sys, "stdout", recorder)
-        assert main(["enumerate", "--dimension", "8"]) == 0
-        sizes = [text.count("\n") for text in recorder.writes]
-        assert len(sizes) > 1
-        assert max(sizes) <= cli.ENUMERATE_CHUNK
-        assert sum(sizes) == math.factorial(8)
-        assert "".join(recorder.writes) == listing_oracle(8, "all")
+        for which, count in [("all", 40320), ("involution", 764),
+                             ("non-involution", 40320 - 764)]:
+            recorder.writes.clear()
+            assert main(["enumerate", "--dimension", "8",
+                         "--filter", which]) == 0
+            sizes = [text.count("\n") for text in recorder.writes]
+            assert max(sizes) <= cli.ENUMERATE_BLOCK
+            assert sum(sizes) == count
+            assert first_difference("".join(recorder.writes),
+                                    listing_oracle(8, which)) is None
+            if which != "involution":
+                assert len(sizes) == 8  # one write per block of 7! lines
+        recorder.writes.clear()
+        assert main(["enumerate", "--dimension", "10",
+                     "--filter", "involution"]) == 0
+        assert [text.count("\n") for text in recorder.writes] == [
+            cli.ENUMERATE_BLOCK, counting.involution_count(10)
+            - cli.ENUMERATE_BLOCK]
 
     def test_forced_non_involutions_stream_without_the_involution_set(
             self, monkeypatch):
-        # past the cap a(m) texts would not fit in memory, so they are not
-        # built; the first chunk of S_13's listing is checked, then cut off
-        def refuse(*args, **kwargs):
-            raise AssertionError("enumerate listed the involutions")
-            yield  # a generator, so only listing fails
+        # past the cap the a(m) involutions are drawn alongside the listing,
+        # never held as a whole: S_13's first block is written after at
+        # most one block's worth of them, checked, and the listing cut off
+        drawn, drawn_at_write = 0, []
 
-        monkeypatch.setattr(cli, "involutions", refuse)
-        recorder = WriteRecorder(limit=1)
+        def counted(*args, **kwargs):
+            nonlocal drawn
+            for images in involutions(*args, **kwargs):
+                drawn += 1
+                yield images
+
+        class Recorder(WriteRecorder):
+            def write(self, text):
+                drawn_at_write.append(drawn)
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "involutions", counted)
+        recorder = Recorder(limit=1)
         monkeypatch.setattr(sys, "stdout", recorder)
         with pytest.raises(WriteRecorder.Stopped):
             main(["enumerate", "--dimension", "13", "--force",
                   "--filter", "non-involution"])
-        head = itertools.islice(itertools.permutations(range(13)), 5000)
+        assert 0 < drawn_at_write[0] <= cli.ENUMERATE_BLOCK
+        head = itertools.islice(itertools.permutations(range(13)),
+                                cli.ENUMERATE_BLOCK)
         expected = ["(" + ",".join(str(k + 1) for k in p) + ")"
                     for p in head if not Permutation(p).is_involution()]
-        assert recorder.writes[0].splitlines() == (
-            expected[:cli.ENUMERATE_CHUNK])
+        assert recorder.writes[0].splitlines() == expected
 
     def test_byte_determinism(self, capsys):
         _, first, _ = run(capsys, "enumerate", "--dimension", "3")
