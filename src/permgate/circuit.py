@@ -4,10 +4,10 @@ Circuits are ordered gate instances over n wires, leftmost applied first.
 Wire w is bit w of the 2**n basis index (wire 0 = least significant).  In
 an instance's wire list the first wire carries the gate's most significant
 index bit, so `gate CNOT c t` has its control first and `CNOT` itself is
-the permutation (1,2,4,3).  circuit_permutation is the one routine that
-maps a circuit to its permutation, and equivalent compares two circuits
-through it.  Only these load numpy, on their first call, so the census
-commands never import it.
+the permutation (1,2,4,3).  Semantics are bitsliced, one Python int per
+wire over all 2**n basis indices: circuit_permutation transposes those ints
+to images, and equivalent XORs two circuits' ints for the first differing
+index.  No circuit code needs numpy.
 
 Rewriting never widens a circuit: adjacent mutually-inverse pairs on the
 same wires are deleted, and any window matching a strict majority of a
@@ -22,7 +22,9 @@ rewrite into it in place; each public call builds one Circuit, at the end.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import DimensionError, FileFormatError, WiringError, _read_ascii
 from .perm import Permutation
@@ -30,6 +32,7 @@ from .templates import TemplateStore
 
 WIRE_CAP = 12
 DEFAULT_REWRITE_BUDGET = 10_000
+_SPREAD = bytes.maketrans(b"01", b"\0\1")  # a binary digit to a 0/1 byte
 
 
 @dataclass(frozen=True)
@@ -131,25 +134,34 @@ class Circuit:
         return f"Circuit(n_wires={self.n_wires}, gates={len(self.gates)})"
 
 
-def circuit_permutation(circuit: Circuit) -> Permutation:
-    """The circuit's denotation on 2**n basis indices (leftmost gate first);
-    an empty circuit denotes the identity.
-
-    All basis indices go through each gate at once: the gate gathers the
-    bits on its wires into a local index (first wire = top bit), maps it,
-    and scatters the image's bits back, leaving every other bit fixed.
-    """
-    import numpy as np  # only circuit semantics need numpy
-
-    x = np.arange(2 ** circuit.n_wires)
+def _wire_ints(circuit: Circuit) -> list[int]:
+    """Bit s of wire w's int is bit w of the image of basis index s.  A k-wire
+    gate cuts the indices into 2**k parts by local value (first wire = top
+    bit) and sets each of its wires to the parts whose image has its bit."""
+    size = 2 ** circuit.n_wires
+    # a base-2 int() is linear in the length; a division form is quadratic
+    wires = [int(("1" * 2 ** w + "0" * 2 ** w) * (size >> w + 1), 2)
+             for w in range(circuit.n_wires)]
     for inst in circuit.gates:
-        k = len(inst.wires)
-        bits = [(w, k - 1 - t) for t, w in enumerate(inst.wires)]
-        local = sum((x >> w & 1) << b for w, b in bits)
-        mapped = np.asarray(inst.gate.perm.images)[local]
-        kept = x & ~sum(1 << w for w in inst.wires)
-        x = kept | sum((mapped >> b & 1) << w for w, b in bits)
-    return Permutation(x.tolist())
+        parts = [(1 << size) - 1]
+        for w in inst.wires:
+            parts = [q for p in parts for q in (p & ~wires[w], p & wires[w])]
+        images = inst.gate.perm.images
+        for t, w in enumerate(reversed(inst.wires)):
+            wires[w] = sum(p for p, i in zip(parts, images) if i >> t & 1)
+    return wires
+
+
+def circuit_permutation(circuit: Circuit) -> Permutation:
+    """The circuit's denotation on 2**n basis indices, leftmost gate first:
+    each lane of eight wire ints gives one byte of each 64-bit image."""
+    wires, size = _wire_ints(circuit), 2 ** circuit.n_wires
+    field = bytearray(8 * size)
+    for lane in range(0, len(wires), 8):
+        byte = sum(int.from_bytes(f"{x:b}".encode().translate(_SPREAD), "big") << j
+                   for j, x in enumerate(wires[lane:lane + 8]))
+        field[lane // 8::8] = byte.to_bytes(size, "little")
+    return Permutation(struct.unpack(f"<{size}Q", field))
 
 
 def equivalent(a: Circuit, b: Circuit) -> int | None:
@@ -159,10 +171,8 @@ def equivalent(a: Circuit, b: Circuit) -> int | None:
         raise DimensionError(
             f"wire counts differ ({a.n_wires} vs {b.n_wires})"
         )
-    pa, pb = circuit_permutation(a), circuit_permutation(b)
-    if pa == pb:
-        return None
-    return next(i for i in range(pa.size) if pa(i) != pb(i))
+    diff = reduce(int.__or__, map(int.__xor__, _wire_ints(a), _wire_ints(b)))
+    return (diff & -diff).bit_length() - 1 if diff else None
 
 
 def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:

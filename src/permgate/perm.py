@@ -129,7 +129,7 @@ class Permutation:
         The result is orthogonal: m @ m.T is the identity, and m is
         symmetric exactly when the permutation is an involution.
         """
-        import numpy as np  # only matrices and circuit semantics need numpy
+        import numpy as np  # only matrices need numpy
 
         m = np.zeros((self.size, self.size), dtype=np.uint8)
         for j, img in enumerate(self._images):

@@ -49,7 +49,8 @@ def propagate(circuit: Circuit, x: int) -> int:
     return x
 
 
-def random_circuit(rng: random.Random, n_wires: int, length: int) -> Circuit:
+def random_circuit(rng: random.Random, n_wires: int, length: int,
+                   force: bool = False) -> Circuit:
     pool = [g for g in BUILTIN_GATES.values() if g.n_qubits <= n_wires]
     gates = []
     for _ in range(length):
@@ -62,7 +63,7 @@ def random_circuit(rng: random.Random, n_wires: int, length: int) -> Circuit:
             gate = rng.choice(pool)
         gates.append(GateInstance(gate, tuple(rng.sample(range(n_wires),
                                                          gate.n_qubits))))
-    return Circuit(n_wires, gates)
+    return Circuit(n_wires, gates, force=force)
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +259,34 @@ class TestEquivalent:
     def test_wire_counts_must_match(self):
         with pytest.raises(DimensionError, match="wire counts differ"):
             equivalent(Circuit(1), Circuit(2))
+
+
+class TestPastTheCap:
+    """Forced circuits wider than the cap, where a build of the wire
+    patterns that is quadratic in 2**n would show."""
+
+    @pytest.mark.parametrize("n", range(13, 17))
+    def test_propagation_oracle_sampled(self, n):
+        rng = random.Random(n)
+        c = random_circuit(rng, n, 40, force=True)
+        perm = circuit_permutation(c)
+        assert perm.size == 2 ** n
+        for x in [0, 2 ** n - 1] + rng.sample(range(2 ** n), 200):
+            assert perm(x) == propagate(c, x)
+        assert circuit_permutation(Circuit(n, force=True)) == \
+            Permutation.identity(2 ** n)
+
+    @pytest.mark.parametrize("n", range(13, 17))
+    def test_first_differing_index_oracle(self, n):
+        rng = random.Random(100 + n)
+        a = random_circuit(rng, n, 30, force=True)
+        b = Circuit(n, a.gates + (inst(TOFFOLI, *rng.sample(range(n), 3)),),
+                    force=True)
+        expected = next(x for x in range(2 ** n)
+                        if propagate(a, x) != propagate(b, x))
+        assert equivalent(a, b) == expected
+        assert equivalent(b, a) == expected
+        assert equivalent(a, a) is None
 
 
 class TestCancelAdjacentInverses:

@@ -276,8 +276,12 @@ class TestEnumerate:
         assert keys == sorted(keys)
         # as strings, "(1,10,...)" would sort before "(1,2,...)"
         assert lines != sorted(lines)
-        assert all(Permutation.from_one_line(line).is_involution()
-                   for line in lines)
+        # each line is a permutation of 1..m and an involution: the entry e
+        # at position i has i at position e
+        entries = list(range(1, m + 1))
+        assert all(sorted(k) == entries
+                   and all(k[e - 1] == i for i, e in enumerate(k, start=1))
+                   for k in keys)
         assert lines[0] == "(" + ",".join(map(str, range(1, m + 1))) + ")"
         assert lines[-1] == "(" + ",".join(map(str, range(m, 0, -1))) + ")"
 
