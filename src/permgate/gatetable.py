@@ -13,6 +13,7 @@ group-closed library never misses and any other table grows on demand.
 from __future__ import annotations
 
 import threading
+from functools import cached_property
 
 from .perm import Permutation
 
@@ -63,7 +64,8 @@ class GateTable:
     given, is their full multiplication table.  An index keeps its gate
     for the table's lifetime, so memoised products and inverses never go
     stale; the table only grows.  Interning takes a lock so concurrent
-    users of one store agree on every index.
+    users of one store agree on every index.  The identity is interned
+    when first used, so a table costs nothing until it meets a gate.
     """
 
     def __init__(self, dimension: int, gates=(), table=None):
@@ -76,11 +78,14 @@ class GateTable:
         self._lock = threading.Lock()
         for g in gates:
             self.intern(g)
-        self.identity = self.intern_images(tuple(range(dimension)))
         if table is not None:
             for a, entries in enumerate(table):
                 self.mul[a].update(enumerate(entries))
                 self.inv[a] = entries.index(self.identity)
+
+    @cached_property
+    def identity(self) -> int:
+        return self.intern_images(tuple(range(self.dimension)))
 
     def intern(self, perm: Permutation) -> int:
         i = self._index.get(perm.images)
@@ -111,24 +116,3 @@ class GateTable:
         for g in word[1:]:
             acc = mul[g][acc]
         return acc == self.identity
-
-    def is_degenerate(self, word) -> bool:
-        """Holds the identity gate, or (beyond length 2) a cyclically
-        adjacent mutually inverse pair."""
-        if self.identity in word:
-            return True
-        if len(word) == 2:
-            return False
-        inv = self.inv
-        return any(b == inv[a] for a, b in zip(word, word[1:] + word[:1]))
-
-    def key(self, word) -> tuple[int, ...]:
-        """Smallest index word over rotations of the word and of its
-        reversed elementwise inverse; only rotations that start at the
-        smallest index can be it."""
-        inv = self.inv
-        n = len(word)
-        back = tuple([inv[g] for g in reversed(word)])
-        low = min(min(word), min(back))
-        return min([w[k:k + n] for w in (word + word, back + back)
-                    for k in range(n) if w[k] == low])

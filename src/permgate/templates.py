@@ -23,11 +23,12 @@ group-closed.  Verification, degeneracy, deduplication and subsumption
 are walks and lookups in that table, and a Permutation is built once per
 distinct gate rather than once per candidate.
 
-A word's canonical key is the smallest index word in its symmetry orbit.
-The orbits partition the words, so two words share the minimum exactly
-when they share the orbit, whatever order the indices come in.  Keys are
-only ever compared for equality, so any index order (library order, or
-the order a file names its gates) gives the same stores.
+Each store also keeps one set holding every cyclic rotation of every
+stored word.  A word's symmetry orbit is its rotations and those of its
+reversed elementwise inverse, so a word is already stored up to symmetry
+exactly when it, or its reversed inverse, is in the set: one or two
+hashes, whatever order the indices come in.  Storing a template of n
+gates adds its n rotations.
 """
 
 from __future__ import annotations
@@ -255,7 +256,7 @@ class TemplateStore:
         self.complete = True
         self._table = GateTable(dimension)
         self._words: list[tuple[int, ...]] = []
-        self._keys: set[tuple[int, ...]] = set()
+        self._rotations: set[tuple[int, ...]] = set()  # of all stored words
         self._templates: list[Template] = []
         self._scan = None
 
@@ -280,8 +281,7 @@ class TemplateStore:
         return tuple([intern(g) for g in t.gates])
 
     def __contains__(self, t: Template) -> bool:
-        return (t.dimension == self.dimension
-                and self._table.key(self._word(t)) in self._keys)
+        return t.dimension == self.dimension and self._known(self._word(t))
 
     def add(self, t: Template) -> bool:
         """Insert unless already present up to symmetry; idempotent."""
@@ -291,19 +291,28 @@ class TemplateStore:
             )
         return self._add_word(self._word(t))
 
-    def _add_word(self, word: tuple[int, ...], key=None) -> bool:
+    def _add_word(self, word: tuple[int, ...]) -> bool:
         table = self._table
         if not table.is_identity_word(word):
             raise ValueError(
                 f"template does not compose to identity: {table.text(word)}")
-        if key is None:
-            key = table.key(word)
-        if key in self._keys:
+        if self._known(word):
             return False
-        self._keys.add(key)
+        self._insert(word)
+        return True
+
+    def _known(self, word: tuple[int, ...]) -> bool:
+        """The word is stored up to rotation and reversal with inverses."""
+        rotations = self._rotations
+        if word in rotations:
+            return True
+        inv = self._table.inv
+        return tuple([inv[g] for g in reversed(word)]) in rotations
+
+    def _insert(self, word: tuple[int, ...]) -> None:
+        self._rotations.update([word[k:] + word[:k] for k in range(len(word))])
         self._words.append(word)
         self._scan = None
-        return True
 
     def subsumes(self, t: Template) -> bool:
         """True if t contains a stored shorter template as a contiguous
@@ -312,14 +321,14 @@ class TemplateStore:
 
     def _subsumes(self, word: tuple[int, ...]) -> bool:
         table = self._table
-        mul, e, keys = table.mul, table.identity, self._keys
+        mul, e = table.mul, table.identity
         n = len(word)
         cyclic = word + word
         for offset in range(n):
             acc = word[offset]
             for size in range(2, n):
                 acc = mul[cyclic[offset + size - 1]][acc]
-                if acc == e and table.key(cyclic[offset:offset + size]) in keys:
+                if acc == e and self._known(cyclic[offset:offset + size]):
                     return True
         return False
 
@@ -394,32 +403,29 @@ def generate_templates(
                        multiplication_table(library, force))
     store = TemplateStore(library.dimension)
     store._table = table
-    mul, inv, keys = table.mul, table.inv, store._keys
+    mul, inv, e = table.mul, table.inv, table.identity
+    stored = store._words
 
-    def over_budget() -> bool:
-        if len(store) >= max_templates:
-            store.complete = False
-            warnings.warn(
-                f"template store budget of {max_templates} reached; "
-                f"result is partial"
-            )
-            return True
-        return False
+    def partial() -> TemplateStore:
+        store.complete = False
+        warnings.warn(
+            f"template store budget of {max_templates} reached; "
+            f"result is partial"
+        )
+        return store
 
     def try_add(word: tuple[int, ...]) -> bool:
-        if table.is_degenerate(word):
+        if store._known(word) or store._subsumes(word):
             return False
-        key = table.key(word)
-        if key in keys or store._subsumes(word):
-            return False
-        return store._add_word(word, key)
+        store._insert(word)
+        return True
 
     everything = range(len(library))
     frontier = []
     for g in everything:
-        if over_budget():
-            return store
-        if try_add((g, inv[g])):
+        if len(stored) >= max_templates:
+            return partial()
+        if g != e and try_add((g, inv[g])):
             frontier.append((g, inv[g]))
 
     for _ in range(3, max_size + 1):
@@ -427,10 +433,19 @@ def generate_templates(
         for word in frontier:
             for position, target in enumerate(word):
                 head, tail, row = word[:position], word[position + 1:], mul[target]
+                # a stored word has no identity gate and no adjacent inverse
+                # pair off the split gate, and v * u = target is not the
+                # identity, so a candidate is degenerate only where u or v is
+                # the identity or the inverse of its outer neighbour
+                before = inv[word[position - 1]]
+                after = inv[word[(position + 1) % len(word)]]
                 for u in everything:
-                    if over_budget():
-                        return store
-                    cand = head + (u, row[inv[u]]) + tail
+                    if len(stored) >= max_templates:
+                        return partial()
+                    v = row[inv[u]]
+                    if u == e or v == e or u == before or v == after:
+                        continue
+                    cand = head + (u, v) + tail
                     if try_add(cand):
                         next_frontier.append(cand)
         frontier = next_frontier

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permgate.circuit import (
     BUILTIN_GATES,
@@ -64,6 +66,23 @@ def random_circuit(rng: random.Random, n_wires: int, length: int,
         gates.append(GateInstance(gate, tuple(rng.sample(range(n_wires),
                                                          gate.n_qubits))))
     return Circuit(n_wires, gates, force=force)
+
+
+@st.composite
+def circuits(draw):
+    """1-8 wires of 1-3-wire gates, builtin or inline, on random wires."""
+    n_wires = draw(st.integers(1, 8))
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        k = draw(st.integers(1, min(3, n_wires)))
+        if draw(st.booleans()):
+            gate = draw(st.sampled_from([g for g in BUILTIN_GATES.values()
+                                         if g.n_qubits == k]))
+        else:
+            gate = Gate(Permutation(draw(st.permutations(range(2 ** k)))))
+        wires = tuple(draw(st.permutations(range(n_wires)))[:k])
+        gates.append(GateInstance(gate, wires))
+    return Circuit(n_wires, gates)
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +232,15 @@ class TestCircuitPermutation:
             perm = circuit_permutation(c)
             for x in range(2 ** n):
                 assert perm(x) == propagate(c, x)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(c=circuits())
+    def test_product_of_one_gate_circuits(self, c):
+        # leftmost gate applied first: each later gate composes on the left
+        expected = Permutation.identity(2 ** c.n_wires)
+        for gi in c.gates:
+            expected = circuit_permutation(Circuit(c.n_wires, [gi])) * expected
+        assert circuit_permutation(c) == expected
 
     def test_disjoint_wires_commute(self):
         rng = random.Random(23)

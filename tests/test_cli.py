@@ -3,10 +3,14 @@ import decimal
 import functools
 import itertools
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import permgate
 from permgate import circuit, cli, counting, templates
 from permgate.cli import main
 from permgate.perm import Permutation, enumerate_permutations, involutions
@@ -556,6 +560,26 @@ class TestOptimize:
                            "--out", str(tmp_path / "o.circ"))
         assert code == 1
         assert err == "error: line 2: non-ASCII byte 0xc3\n"
+
+    def test_huge_store_dimension_exit_one(self, tmp_path):
+        # run as a script, so an uncaught error would show as a traceback
+        circ = tmp_path / "c.circ"
+        circ.write_text("qubits 1\ngate X 0\n")
+        store = tmp_path / "huge.tmpl"
+        store.write_text("templates dim=99999999999999999999\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(permgate.__file__).resolve().parents[1]),
+            env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "permgate.cli", "optimize", "--circuit",
+             str(circ), "--templates", str(store), "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == ("error: store dimension 99999999999999999999 "
+                               "is not a power of two; it can never match a "
+                               "window of qubit gates\n")
+        assert not (tmp_path / "o").exists()
 
     def test_missing_file_exit_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "optimize",

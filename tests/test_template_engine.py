@@ -9,16 +9,19 @@ rewrite.  Libraries are random subgroups of S_3 and S_4, listed in
 shuffled order so that library index order is not image order.
 """
 
+import collections
 import hashlib
 import random
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permgate
 from permgate.circuit import (
     BUILTIN_GATES,
     DEFAULT_REWRITE_BUDGET,
@@ -382,6 +385,61 @@ def test_optimize_builds_one_circuit_per_call(blocks, monkeypatch):
     assert len(built) == 1
 
 
+def calls_into_permgate(fn):
+    """fn's result, and how often each permgate function ran during it."""
+    src = str(Path(permgate.__file__).parent)
+    counts = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(src):
+            counts[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, counts
+
+
+def test_one_rotation_set_per_stored_template():
+    # S_4 max 4 keeps 1507 of 7056 candidates.  Each stored template adds
+    # its rotations once, and per candidate only the rotation-set lookup
+    # and the subsumption walk may run: no canonical key or degeneracy
+    # routine.
+    library = GateLibrary.symmetric_group(4)
+    store, made = calls_into_permgate(lambda: generate_templates(library, 4))
+    text = format_store(store)
+    loaded, read = calls_into_permgate(lambda: parse_store(text))
+    assert len(store) == len(loaded) == 1507
+    per_candidate = {"try_add", "_known", "_subsumes", "<listcomp>"}
+    for result, counts in ((store, made), (loaded, read)):
+        assert counts["_insert"] == len(result)
+        assert {name for name, n in counts.items() if n > len(result)} \
+            <= per_candidate
+        assert result._rotations == {w[k:] + w[:k] for w in result._words
+                                     for k in range(len(w))}
+    assert made["try_add"] > 4 * len(store)  # the profile saw the candidates
+
+
+@pytest.mark.parametrize("dimension, budget", [
+    (2, 0), (2, 1), (2, 2), (3, 17), (3, 51), (3, 52)])
+def test_budget_is_checked_before_skipped_candidates(dimension, budget):
+    # S_2 stores one template, and every expansion of it is degenerate; at
+    # a budget of 1 those skipped candidates still find the store full, so
+    # the result is partial and warns, as the reference's is
+    library = GateLibrary.symmetric_group(dimension)
+    with warnings.catch_warnings(record=True) as ours:
+        warnings.simplefilter("always")
+        store = generate_templates(library, 6, max_templates=budget)
+    with warnings.catch_warnings(record=True) as theirs:
+        warnings.simplefilter("always")
+        ref = ref_generate(library, 6, budget)
+    assert gate_lists(store) == gate_lists(ref)
+    assert store.complete == ref.complete
+    assert len(ours) == len(theirs)
+
+
 # --- byte identity ----------------------------------------------------------
 
 
@@ -390,9 +448,11 @@ def test_optimize_builds_one_circuit_per_call(blocks, monkeypatch):
     (3, 6, "b4b16a21fe9914125889a086e4581fb403d33a5c8c44dd40ecf260e36303cd17"),
     (4, 3, "8016de5d18a51b21d33ac16b8f199b3ad979578aac2a6f055b55756dc593f77b"),
     (4, 4, "e65d7e81e7cc4e2b671dbd1216f15386ea168c727d93fd78438fb1e9639d9204"),
+    (4, 5, "a8253dc79897e98b16e748d117c6c1cfe64dccdfbff3419aae12bab5eafd106f"),
 ])
 def test_store_bytes_are_pinned(dimension, max_size, digest):
     # digests of the store files written by the Permutation-level search
+    # (S_4 max 5, 22759 templates: by the canonical-key integer search)
     text = format_store(generate_templates(GateLibrary.symmetric_group(dimension),
                                            max_size))
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -369,6 +370,19 @@ class TestStoreFiles:
             parse_store("")
         with pytest.raises(FileFormatError, match="line 1: invalid dimension 0"):
             parse_store("templates dim=0")
+
+    @pytest.mark.parametrize("dimension", [10 ** 20, 2 ** 40])
+    def test_header_alone_builds_nothing_of_its_dimension(self, dimension):
+        # the identity of a store's dimension is built only once a line's
+        # gates, of that dimension, have been read
+        tracemalloc.start()
+        try:
+            store = parse_store(f"templates dim={dimension}\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (store.dimension, len(store)) == (dimension, 0)
+        assert peak < 2 ** 20
 
     def test_loader_rejects_bad_notation(self):
         text = "templates dim=2\ntemplate: (2,1);(2,x)\n"
