@@ -17,6 +17,7 @@ import functools
 import itertools
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 from . import circuit as circ
@@ -237,7 +238,13 @@ def _cmd_templates(args, parser) -> int:
     if not 2 <= args.max_size <= MAX_TEMPLATE_SIZE:
         parser.error(f"--max-size must be in 2..{MAX_TEMPLATE_SIZE}")
     library = GateLibrary.symmetric_group(m, force=args.force)
-    store = generate_templates(library, args.max_size, force=args.force)
+    # the budget warning is printed as one line of its own, not in the
+    # warnings module's format, which names this install's source file
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        store = generate_templates(library, args.max_size, force=args.force)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     save_store(store, args.out)
     print(f"templates={len(store)}")
     return 0

@@ -28,7 +28,14 @@ stored word.  A word's symmetry orbit is its rotations and those of its
 reversed elementwise inverse, so a word is already stored up to symmetry
 exactly when it, or its reversed inverse, is in the set: one or two
 hashes, whatever order the indices come in.  Storing a template of n
-gates adds its n rotations.
+gates adds its n rotations.  Generation inverts each candidate from its
+parent's reversed inverse, and walks no candidate under 6 gates for
+stored factors, since such a candidate cannot contain one.
+
+Every stored word composes to the identity, so the rewrite scan's lookup
+keys the p gates from an offset by the inverse of the m - p gates after
+them: the identity for p = m, one inverse for p = m - 1, and a product
+only for the words of 5 or more gates.
 """
 
 from __future__ import annotations
@@ -351,24 +358,42 @@ class _RewriteScan:
     of every word of length m.  So for a window of p gates composing to g,
     one lookup per p answers what the template-by-template scan would find
     first at that p.
+
+    A stored word composes to the identity, so its p gates from ``offset``
+    compose to the inverse of the m - p gates after them, and each entry is
+    keyed by that short remainder: p = m is the identity, p = m - 1 the
+    inverse of one gate, and only words of 5 or more gates need a product,
+    built by prepending the next inverted gate as p steps down.
     """
 
     def __init__(self, store: TemplateStore):
-        self.table = store._table
+        self.table = table = store._table
         self.ranked = sorted(store._words, key=lambda w: -len(w))
         self.longest = len(self.ranked[0]) if self.ranked else 0
         self.first: list[dict[int, tuple[int, int]]] = [
             {} for _ in range(self.longest + 1)]
-        mul = self.table.mul
+        if not self.ranked:
+            return  # interns no identity, whatever the store's dimension
+        mul, inv, e = table.mul, table.inv, table.identity
         for rank, word in enumerate(self.ranked):
             m = len(word)
+            whole = self.first[m]
+            if e not in whole:
+                whole[e] = (rank, 0)
+            if m < 3:
+                continue
             cyclic = word + word
             for offset in range(m):
-                acc = word[offset]
-                for p in range(2, m + 1):
-                    acc = mul[cyclic[offset + p - 1]][acc]
-                    if p > m // 2:
-                        self.first[p].setdefault(acc, (rank, offset))
+                p = m - 1
+                acc = inv[cyclic[offset + p]]
+                while True:
+                    lookup = self.first[p]
+                    if acc not in lookup:
+                        lookup[acc] = (rank, offset)
+                    p -= 1
+                    if p <= m // 2:
+                        break
+                    acc = mul[inv[cyclic[offset + p]]][acc]
 
     def replacement(self, rank: int, offset: int, p: int) -> list[Permutation]:
         """The inverted remainder of a match, in circuit order."""
@@ -414,39 +439,52 @@ def generate_templates(
         )
         return store
 
-    def try_add(word: tuple[int, ...]) -> bool:
-        if store._known(word) or store._subsumes(word):
+    def try_add(word: tuple[int, ...], back: tuple[int, ...]) -> bool:
+        # back is word reversed with every gate inverted.  A candidate is an
+        # identity word with no identity gate and no cyclically adjacent
+        # inverse pair.  If a cyclic factor of s gates composes to the
+        # identity, so does its complement of n - s gates, so a shorter
+        # identity factor needs s >= 3 and n - s >= 3: below 6 gates no
+        # candidate can contain a stored template.
+        if word in rotations or back in rotations or (
+                len(word) >= 6 and store._subsumes(word)):
             return False
         store._insert(word)
         return True
 
+    rotations = store._rotations
     everything = range(len(library))
     frontier = []
     for g in everything:
         if len(stored) >= max_templates:
             return partial()
-        if g != e and try_add((g, inv[g])):
-            frontier.append((g, inv[g]))
+        pair = (g, inv[g])  # its own reversed inverse
+        if g != e and try_add(pair, pair):
+            frontier.append(pair)
 
+    pairs = [(u, inv[u]) for u in everything]
     for _ in range(3, max_size + 1):
         next_frontier = []
         for word in frontier:
+            back = tuple([inv[g] for g in reversed(word)])
             for position, target in enumerate(word):
                 head, tail, row = word[:position], word[position + 1:], mul[target]
+                # back is tail's reversed inverse, inv[target], head's
+                tail_back, head_back = back[:len(tail)], back[len(tail) + 1:]
                 # a stored word has no identity gate and no adjacent inverse
                 # pair off the split gate, and v * u = target is not the
                 # identity, so a candidate is degenerate only where u or v is
                 # the identity or the inverse of its outer neighbour
                 before = inv[word[position - 1]]
                 after = inv[word[(position + 1) % len(word)]]
-                for u in everything:
+                for u, inv_u in pairs:
                     if len(stored) >= max_templates:
                         return partial()
-                    v = row[inv[u]]
+                    v = row[inv_u]
                     if u == e or v == e or u == before or v == after:
                         continue
                     cand = head + (u, v) + tail
-                    if try_add(cand):
+                    if try_add(cand, tail_back + (inv[v], inv_u) + head_back):
                         next_frontier.append(cand)
         frontier = next_frontier
     return store
@@ -481,7 +519,8 @@ def parse_store(text: str) -> TemplateStore:
         store = TemplateStore(dimension)
     except DimensionError as exc:
         raise FileFormatError(1, str(exc)) from None
-    # gate text -> table index, or None for a gate of another dimension
+    # gate text as split, spaces included -> table index, or None for a gate
+    # of another dimension; each text is stripped and parsed on first sight
     seen: dict[str, int | None] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
@@ -489,23 +528,22 @@ def parse_store(text: str) -> TemplateStore:
             continue
         if not line.startswith("template:"):
             raise FileFormatError(lineno, f"expected 'template:' line, got {raw!r}")
-        word = []
-        for part in line[len("template:"):].split(";"):
-            part = part.strip()
+        parts = line[len("template:"):].lstrip().split(";")
+        for part in parts:
             if part not in seen:
                 try:
-                    perm = Permutation.from_one_line(part)
+                    perm = Permutation.from_one_line(part.strip())
                 except Exception as exc:
                     raise FileFormatError(lineno, str(exc)) from exc
                 seen[part] = (store._table.intern(perm)
                               if perm.size == dimension else None)
-            word.append(seen[part])
+        word = tuple([seen[part] for part in parts])
         if None in word:
             raise FileFormatError(lineno, f"gate dimension differs from dim={dimension}")
         if len(word) < 2:
             raise FileFormatError(lineno, "template needs at least 2 gates")
         try:
-            store._add_word(tuple(word))
+            store._add_word(word)
         except ValueError as exc:
             raise FileFormatError(lineno, str(exc)) from None
     return store

@@ -494,6 +494,19 @@ class TestTemplates:
         assert err.count("\n") == 1
         assert not out_path.exists()
 
+    def test_budget_warning_is_one_fixed_line(self, capsys, tmp_path,
+                                              monkeypatch):
+        # not the warnings module's format, which names the source file
+        monkeypatch.setattr(cli, "generate_templates", functools.partial(
+            templates.generate_templates, max_templates=10))
+        out_path = tmp_path / "x.tmpl"
+        code, out, err = run(capsys, "templates", "--dimension", "4",
+                             "--max-size", "3", "--out", str(out_path))
+        assert (code, out) == (0, "templates=10\n")
+        assert err == ("warning: template store budget of 10 reached; "
+                       "result is partial\n")
+        assert len(load_store(out_path)) == 10
+
     def test_unwritable_out_is_domain_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "templates", "--dimension", "2",
                            "--max-size", "2",

@@ -37,6 +37,7 @@ from permgate.perm import Permutation, _product, enumerate_permutations
 from permgate.templates import (
     GateLibrary,
     Template,
+    _RewriteScan,
     expand_template,
     format_store,
     generate_templates,
@@ -162,6 +163,25 @@ def ref_find_rewrite(circuit, templates, dimension):
                                    for g in reversed(cyclic[offset + p:offset + m])]
                     return start, p, replacement
     return None
+
+
+def ref_scan_lookup(store):
+    """The rewrite scan's ranked words and per-length lookup, each window
+    keyed by its own forward composition, over the store's gate table."""
+    mul = store._table.mul
+    ranked = sorted(store._words, key=lambda w: -len(w))
+    longest = len(ranked[0]) if ranked else 0
+    first = [{} for _ in range(longest + 1)]
+    for rank, word in enumerate(ranked):
+        m = len(word)
+        cyclic = word + word
+        for offset in range(m):
+            acc = word[offset]
+            for p in range(2, m + 1):
+                acc = mul[cyclic[offset + p - 1]][acc]
+                if p > m // 2:
+                    first[p].setdefault(acc, (rank, offset))
+    return ranked, first
 
 
 def ref_optimize(circuit, store, budget=DEFAULT_REWRITE_BUDGET):
@@ -420,6 +440,12 @@ def test_one_rotation_set_per_stored_template():
         assert result._rotations == {w[k:] + w[:k] for w in result._words
                                      for k in range(len(w))}
     assert made["try_add"] > 4 * len(store)  # the profile saw the candidates
+    # a candidate under 6 gates contains no shorter identity factor, so
+    # only 6-gate candidates are walked for stored templates
+    assert made["_subsumes"] == 0
+    _, walked = calls_into_permgate(
+        lambda: generate_templates(GateLibrary.symmetric_group(3), 6))
+    assert walked["_subsumes"] > 0
 
 
 @pytest.mark.parametrize("dimension, budget", [
@@ -438,6 +464,56 @@ def test_budget_is_checked_before_skipped_candidates(dimension, budget):
     assert gate_lists(store) == gate_lists(ref)
     assert store.complete == ref.complete
     assert len(ours) == len(theirs)
+
+
+# A hand-written store need not be free of identity gates and adjacent
+# inverse pairs; the 5- and 6-gate lines take the scan lookup's product path.
+DEGENERATE_STORE = """templates dim=4
+template: (1,2,3,4);(1,2,3,4)
+template: (1,2,3,4);(2,3,1,4);(3,1,2,4)
+template: (2,1,3,4);(2,1,3,4);(1,3,2,4);(1,3,2,4)
+template: (2,1,3,4);(1,2,3,4);(2,1,3,4);(1,3,2,4);(1,3,2,4)
+template: (2,3,1,4);(2,3,1,4);(2,3,1,4);(1,2,3,4);(4,3,2,1);(4,3,2,1)
+template: (2,3,4,1);(2,3,4,1);(2,1,4,3);(1,2,3,4);(3,4,1,2);(2,1,4,3)
+"""
+
+
+def assert_scan_matches_forward_walk(store):
+    scan = _RewriteScan(store)
+    ranked, first = ref_scan_lookup(store)
+    assert scan.ranked == ranked
+    assert scan.first == first
+
+
+def shuffled(text, rng):
+    header, *lines = text.splitlines()
+    rng.shuffle(lines)
+    return "\n".join([header] + lines) + "\n"
+
+
+@pytest.mark.parametrize("dimension, max_size, budget", [
+    (2, 6, 50_000), (3, 6, 50_000), (4, 4, 50_000), (4, 5, 50_000),
+    (4, 6, 3000)])
+def test_scan_lookup_matches_forward_walk(dimension, max_size, budget):
+    # each window keyed by its remainder's inverse gives the forward walk's
+    # lookup: on the generated store, on it loaded (a table that grows as
+    # it goes) and loaded with its lines shuffled
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        store = generate_templates(GateLibrary.symmetric_group(dimension),
+                                   max_size, max_templates=budget)
+    text = format_store(store)
+    rng = random.Random(dimension * 10 + max_size)
+    for each in [store, parse_store(text)] + [parse_store(shuffled(text, rng))
+                                              for _ in range(2)]:
+        assert_scan_matches_forward_walk(each)
+
+
+def test_scan_lookup_on_a_degenerate_hand_written_store():
+    rng = random.Random(5)
+    for text in [DEGENERATE_STORE] + [shuffled(DEGENERATE_STORE, rng)
+                                      for _ in range(3)]:
+        assert_scan_matches_forward_walk(parse_store(text))
 
 
 # --- byte identity ----------------------------------------------------------

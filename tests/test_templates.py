@@ -374,14 +374,16 @@ class TestStoreFiles:
     @pytest.mark.parametrize("dimension", [10 ** 20, 2 ** 40])
     def test_header_alone_builds_nothing_of_its_dimension(self, dimension):
         # the identity of a store's dimension is built only once a line's
-        # gates, of that dimension, have been read
+        # gates, of that dimension, have been read; the rewrite scan of an
+        # empty store builds none either
         tracemalloc.start()
         try:
             store = parse_store(f"templates dim={dimension}\n")
+            scan = store._rewrite_scan()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (store.dimension, len(store)) == (dimension, 0)
+        assert (store.dimension, len(store), scan.longest) == (dimension, 0, 0)
         assert peak < 2 ** 20
 
     def test_loader_rejects_bad_notation(self):
