@@ -23,6 +23,7 @@ rewrite into it in place; each public call builds one Circuit, at the end.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
 from functools import reduce
 
@@ -114,6 +115,9 @@ class Circuit:
                 f"(semantics live on 2^n indices); pass force=True "
                 f"(--force on the command line) to override"
             )
+        if n_wires >= sys.maxsize.bit_length():  # even under force
+            raise DimensionError(f"{n_wires} wires are too many: the 2^n "
+                                 f"basis indices must stay below sys.maxsize")
         gates = tuple(gates)
         for inst in gates:
             bad = [w for w in inst.wires if not 0 <= w < n_wires]
@@ -193,40 +197,27 @@ def _cancel_inverses(gates) -> list[GateInstance]:
     return out
 
 
-def _find_rewrite(gates: list[GateInstance], scan, resume: int):
-    """First applicable rewrite at or after gate `resume` under the fixed
-    scan order: leftmost window, longest template first (then store
+def _find_rewrite(gates, scan, dimension: int, resume: int):
+    """First rewrite the store's scan picks at or after gate `resume`, in
+    the fixed order: leftmost window, longest template first (then store
     order), largest match, first cyclic offset.  Returns (start,
-    matched_len, replacement_gates) or None.
-
-    Each window's product is one walk in the store's gate table, and the
-    store's lookup answers each (length, product) pair at once; a gate the
-    table has not met yet is interned on the way."""
-    longest, first, table = scan.longest, scan.first, scan.table
-    intern, mul = table.intern, table.mul
+    matched_len, replacement_gates) or None."""
+    longest, match = scan.longest, scan.match
     for start in range(resume, len(gates)):
         wires = gates[start].wires
-        if 2 ** len(wires) != table.dimension:
+        if 2 ** len(wires) != dimension:
             continue
-        run = 1
-        while (run < longest and start + run < len(gates)
-               and gates[start + run].wires == wires):
-            run += 1
+        perms = [gates[start].gate.perm]
+        for inst in gates[start + 1:start + longest]:
+            if inst.wires != wires:
+                break
+            perms.append(inst.gate.perm)
         # a match covers more than half of a template of 2+ gates
-        if run < 2:
-            continue
-        acc = intern(gates[start].gate.perm)
-        best, best_p = None, 0
-        for p in range(2, run + 1):
-            acc = mul[intern(gates[start + p - 1].gate.perm)][acc]
-            hit = first[p].get(acc)
-            # an equal rank at a larger p is the same template's larger match
-            if hit is not None and (best is None or hit[0] <= best[0]):
-                best, best_p = hit, p
-        if best is not None:
-            replacement = [GateInstance(named_gate(g), wires)
-                           for g in scan.replacement(best[0], best[1], best_p)]
-            return start, best_p, replacement
+        hit = match(perms) if len(perms) > 1 else None
+        if hit is not None:
+            p, replacement = hit
+            return start, p, [GateInstance(named_gate(g), wires)
+                              for g in replacement]
     return None
 
 
@@ -262,7 +253,7 @@ def _template_rewrite(gates: list[GateInstance], store, budget: int) -> int:
     applied = 0
     resume = 0
     while applied < budget:
-        hit = _find_rewrite(gates, scan, resume)
+        hit = _find_rewrite(gates, scan, store.dimension, resume)
         if hit is None:
             break
         start, count, replacement = hit

@@ -6,8 +6,8 @@ words, tuples of these indices, so checking, deduplicating and matching a
 template is a walk of lookups: ``mul[a][b]`` is the index of gate a *
 gate b (b applied first), and ``inv[a]`` the index of gate a's inverse.
 A missing entry is computed from the two gates' images, and a product
-the table has not met is interned on the way, so a table seeded with a
-group-closed library never misses and any other table grows on demand.
+the table has not met is interned on the way, so the table grows on
+demand and computes each product and inverse on first use.
 """
 
 from __future__ import annotations
@@ -60,15 +60,14 @@ class _Inverses(dict):
 class GateTable:
     """The distinct gates of one dimension, interned as indices 0, 1, ...
 
-    ``gates`` are interned first, in their order, and ``table``, when
-    given, is their full multiplication table.  An index keeps its gate
-    for the table's lifetime, so memoised products and inverses never go
-    stale; the table only grows.  Interning takes a lock so concurrent
-    users of one store agree on every index.  The identity is interned
-    when first used, so a table costs nothing until it meets a gate.
+    An index keeps its gate for the table's lifetime, so memoised
+    products and inverses never go stale; the table only grows.
+    Interning takes a lock so concurrent users of one store agree on
+    every index.  The identity is interned when first used, so a table
+    costs nothing until it meets a gate.
     """
 
-    def __init__(self, dimension: int, gates=(), table=None):
+    def __init__(self, dimension: int):
         self.dimension = dimension
         self.images: list[tuple[int, ...]] = []
         self.perms: list[Permutation] = []
@@ -76,12 +75,6 @@ class GateTable:
         self.inv = _Inverses(self)
         self._index: dict[tuple[int, ...], int] = {}
         self._lock = threading.Lock()
-        for g in gates:
-            self.intern(g)
-        if table is not None:
-            for a, entries in enumerate(table):
-                self.mul[a].update(enumerate(entries))
-                self.inv[a] = entries.index(self.identity)
 
     @cached_property
     def identity(self) -> int:

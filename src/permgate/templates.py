@@ -3,7 +3,7 @@
 A template is a gate sequence whose left-to-right composition (leftmost
 applied first) is the identity.  Any circuit window matching a majority of
 a template, read cyclically, can be rewritten into the inverse of the
-remainder; generation here, application lives in the circuit module.
+remainder; this module picks the rewrite, the circuit module splices it.
 
 Since left-multiplication by a fixed element permutes a group, every row
 and column of the multiplication table covers the whole library, which is
@@ -15,13 +15,12 @@ inverted; both symmetries send identity words to identity words.
 
 Generation, loading and matching work on integers.  Each store keeps a
 GateTable, in which every distinct gate it meets is interned once, and
-holds its templates as words: tuples of those indices.  Over a
-group-closed library the table is seeded with the library's
-multiplication_table, built once, in library order; a loaded store's
-table grows on demand, since a hand-edited store need not be
-group-closed.  Verification, degeneracy, deduplication and subsumption
-are walks and lookups in that table, and a Permutation is built once per
-distinct gate rather than once per candidate.
+holds its templates as words: tuples of those indices.  Generation
+interns the library first, in order, and reads its whole multiplication
+table, the closure check; a loaded store's table grows on demand.
+Verification, degeneracy, deduplication and subsumption are walks and
+lookups in that table, and a Permutation is built once per distinct
+gate rather than once per candidate.
 
 Each store also keeps one set holding every cyclic rotation of every
 stored word.  A word's symmetry orbit is its rotations and those of its
@@ -119,23 +118,25 @@ def multiplication_table(library: GateLibrary, force: bool = False) -> list[list
     identity, so its inverse is one of them.  Every row and column is a
     permutation of the library indices.
     """
+    table = GateTable(library.dimension)
+    _fill_library_table(table, library, force)
+    return [list(row.values()) for row in table.mul]
+
+
+def _fill_library_table(table, library: GateLibrary, force: bool) -> None:
+    """Intern the library's gates, in order, into the empty `table` and
+    compute every product of two of them, row by row, in its memo; raises
+    ClosureError at the first product outside the library."""
     check_table_cap(len(library), force)
-    images = [g.images for g in library.gates]
-    index = {imgs: i for i, imgs in enumerate(images)}
-    table = []
-    for na, a in zip(library.names, images):
-        row = []
-        for nb, b in zip(library.names, images):
-            prod = tuple(map(a.__getitem__, b))
-            k = index.get(prod)
-            if k is None:
-                raise ClosureError(
-                    f"product {na!r} * {nb!r} = {Permutation(prod).one_line()} "
-                    f"is not in the library"
-                )
-            row.append(k)
-        table.append(row)
-    return table
+    for g in library.gates:
+        table.intern(g)
+    n = len(library)
+    for na, row in zip(library.names, table.mul[:n]):
+        for b, nb in enumerate(library.names):
+            if row[b] >= n:
+                raise ClosureError(f"product {na!r} * {nb!r} = "
+                                   f"{table.perms[row[b]].one_line()} "
+                                   f"is not in the library")
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,7 @@ class Template:
     def is_degenerate(self) -> bool:
         """Contains the identity gate, or (beyond length 2) a cyclically
         adjacent mutually-inverse pair.  Permutation-level reference for
-        the store's check on index words."""
+        the candidates generate_templates skips; a store accepts these."""
         if any(g.is_identity() for g in self.gates):
             return True
         if len(self.gates) == 2:
@@ -248,7 +249,8 @@ def expand_template(t: Template, position: int, library: GateLibrary) -> list[Te
 
 
 class TemplateStore:
-    """Deduplicated set of verified, non-degenerate templates.
+    """Deduplicated set of verified templates (degenerate ones too, from
+    add or parse_store; generate_templates skips them).
 
     Templates are held as index words over the store's gate table, which
     is what every check, the store file and the rewrite scan read;
@@ -349,7 +351,7 @@ class TemplateStore:
 
 
 class _RewriteScan:
-    """What the circuit module's rewrite scan needs from one store.
+    """The rewrite lookup of one store; match picks each rewrite.
 
     ``ranked`` holds the words longest first, store order within a length;
     the scan tries them in that order.  ``first[p][g]`` is the smallest
@@ -395,12 +397,26 @@ class _RewriteScan:
                         break
                     acc = mul[inv[cyclic[offset + p]]][acc]
 
-    def replacement(self, rank: int, offset: int, p: int) -> list[Permutation]:
-        """The inverted remainder of a match, in circuit order."""
+    def match(self, perms) -> tuple[int, list[Permutation]] | None:
+        """(p, the inverted remainder in circuit order) for the first p of
+        `perms`, the permutations of a run of at most ``longest`` same-wire
+        gates, under the scan order (best rank, then largest p), or None."""
+        table = self.table
+        intern, mul, first = table.intern, table.mul, self.first
+        acc = intern(perms[0])  # the window product, interning new gates
+        best = None
+        for p, perm in enumerate(perms[1:], 2):
+            acc = mul[intern(perm)][acc]
+            hit = first[p].get(acc)
+            # an equal rank at a larger p is the same template's larger match
+            if hit is not None and (best is None or hit[0] <= best[0]):
+                best = (*hit, p)
+        if best is None:
+            return None
+        rank, offset, p = best
         word = self.ranked[rank]
         rest = (word + word)[offset + p:offset + len(word)]
-        table = self.table
-        return [table.perms[table.inv[g]] for g in reversed(rest)]
+        return p, [table.perms[table.inv[g]] for g in reversed(rest)]
 
 
 def generate_templates(
@@ -424,10 +440,9 @@ def generate_templates(
     """
     if not 2 <= max_size <= MAX_TEMPLATE_SIZE:
         raise ValueError(f"max_size {max_size} out of range 2..{MAX_TEMPLATE_SIZE}")
-    table = GateTable(library.dimension, library.gates,
-                       multiplication_table(library, force))
     store = TemplateStore(library.dimension)
-    store._table = table
+    table = store._table
+    _fill_library_table(table, library, force)
     mul, inv, e = table.mul, table.inv, table.identity
     stored = store._words
 

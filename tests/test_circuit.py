@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -137,6 +138,15 @@ class TestInstanceAndCircuit:
         with pytest.raises(DimensionError, match="cap"):
             Circuit(13)
         assert Circuit(13, force=True).n_wires == 13
+
+    @pytest.mark.parametrize("wires", [63, 70])
+    def test_force_stops_where_basis_indices_pass_maxsize(self, wires):
+        # the bound counting uses for (2^n)!, 63 on 64-bit builds
+        assert wires >= sys.maxsize.bit_length()
+        with pytest.raises(DimensionError, match="sys.maxsize"):
+            Circuit(wires, force=True)
+        with pytest.raises(FileFormatError, match=f"line 1: {wires} wires"):
+            parse_circuit(f"qubits {wires}\ngate X 0\n", force=True)
 
     def test_invalid_wire_count(self):
         with pytest.raises(DimensionError):

@@ -611,6 +611,22 @@ class TestOptimize:
         assert "--force" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("wires", [63, 70])
+    def test_force_stops_where_basis_indices_pass_maxsize(self, capsys,
+                                                          tmp_path, wires):
+        # 2^n basis indices past sys.maxsize are refused even under --force
+        path = tmp_path / "deep.circ"
+        path.write_text(f"qubits {wires}\ngate X 0\n")
+        out_path = tmp_path / "o.circ"
+        code, out, err = run(capsys, "optimize", "--circuit", str(path),
+                             "--out", str(out_path), "--force")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: line 1: {wires} wires")
+        assert err.count("\n") == 1
+        assert "sys.maxsize" in err
+        assert not out_path.exists()
+
     def test_force_optimizes_past_the_wire_cap(self, capsys, tmp_path):
         wide = wide_circuit(tmp_path)
         out_path = tmp_path / "o.circ"
@@ -707,6 +723,19 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "--force" in err
+
+    @pytest.mark.parametrize("wires", [63, 70])
+    def test_force_stops_where_basis_indices_pass_maxsize(self, capsys,
+                                                          tmp_path, wires):
+        path = tmp_path / "deep.circ"
+        path.write_text(f"qubits {wires}\ngate X 0\n")
+        code, out, err = run(capsys, "verify", "--circuit", str(path),
+                             "--circuit", str(path), "--force")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: line 1: {wires} wires")
+        assert err.count("\n") == 1
+        assert "sys.maxsize" in err
 
     def test_force_verifies_past_the_wire_cap(self, capsys, tmp_path):
         wide = wide_circuit(tmp_path)

@@ -1,8 +1,11 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
 
+from permgate import gatetable
+from permgate.circuit import Circuit, Gate, GateInstance, optimize
 from permgate.errors import (
     CapExceeded,
     ClosureError,
@@ -139,8 +142,39 @@ class TestMultiplicationTable:
     def test_closure_violation(self):
         lib = GateLibrary(3, [("r", Permutation([1, 2, 0])),
                               ("s", Permutation([2, 0, 1]))])
-        with pytest.raises(ClosureError, match="product"):
+        want = "product 'r' * 's' = (1,2,3) is not in the library"
+        with pytest.raises(ClosureError) as table_error:
             multiplication_table(lib)
+        with pytest.raises(ClosureError) as generation_error:
+            generate_templates(lib, 2)
+        assert str(table_error.value) == str(generation_error.value) == want
+
+    def test_every_product_is_computed_once_in_a_gate_table(self, monkeypatch):
+        # multiplication_table and generation fill a GateTable through its
+        # memo, one computation per product; an optimize with the generated
+        # store then finds every product its windows need already there
+        computed = []
+        missing = gatetable._Row.__missing__
+
+        def counted(row, b):
+            computed.append(b)
+            return missing(row, b)
+
+        monkeypatch.setattr(gatetable._Row, "__missing__", counted)
+        lib = s4_library()
+        store = generate_templates(lib, 4)
+        assert len(computed) == 24 ** 2
+        computed.clear()
+        assert len(multiplication_table(lib)) == 24
+        assert len(computed) == 24 ** 2
+        computed.clear()
+        rng = random.Random(14)
+        circuit = Circuit(3, [GateInstance(Gate(rng.choice(lib.gates)),
+                                           rng.choice([(0, 1), (1, 2)]))
+                              for _ in range(200)])
+        _, report = optimize(circuit, store)
+        assert report.template_rewrites > 0
+        assert computed == []
 
     def test_cap(self):
         lib = GateLibrary(1000, [(f"g{i}", _rotation(1000, i)) for i in range(721)])
