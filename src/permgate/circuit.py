@@ -197,30 +197,6 @@ def _cancel_inverses(gates) -> list[GateInstance]:
     return out
 
 
-def _find_rewrite(gates, scan, dimension: int, resume: int):
-    """First rewrite the store's scan picks at or after gate `resume`, in
-    the fixed order: leftmost window, longest template first (then store
-    order), largest match, first cyclic offset.  Returns (start,
-    matched_len, replacement_gates) or None."""
-    longest, match = scan.longest, scan.match
-    for start in range(resume, len(gates)):
-        wires = gates[start].wires
-        if 2 ** len(wires) != dimension:
-            continue
-        perms = [gates[start].gate.perm]
-        for inst in gates[start + 1:start + longest]:
-            if inst.wires != wires:
-                break
-            perms.append(inst.gate.perm)
-        # a match covers more than half of a template of 2+ gates
-        hit = match(perms) if len(perms) > 1 else None
-        if hit is not None:
-            p, replacement = hit
-            return start, p, [GateInstance(named_gate(g), wires)
-                              for g in replacement]
-    return None
-
-
 def template_rewrite(
     circuit: Circuit,
     store: TemplateStore,
@@ -241,27 +217,40 @@ def template_rewrite(
 
 def _template_rewrite(gates: list[GateInstance], store, budget: int) -> int:
     """template_rewrite on a gate list, splicing each rewrite in place;
-    returns the number of rewrites."""
+    returns the number of rewrites.  Each rewrite is the first in the fixed
+    order: leftmost window, longest template first (then store order),
+    largest match, first cyclic offset."""
     if budget < 0:
         raise ValueError(f"negative rewrite budget {budget}")
-    if store.dimension & (store.dimension - 1):
+    dimension = store.dimension
+    if dimension & (dimension - 1):
         raise DimensionError(
-            f"store dimension {store.dimension} is not a power of two; "
+            f"store dimension {dimension} is not a power of two; "
             f"it can never match a window of qubit gates"
         )
     scan = store._rewrite_scan()
-    applied = 0
-    resume = 0
-    while applied < budget:
-        hit = _find_rewrite(gates, scan, store.dimension, resume)
+    longest, match = scan.longest, scan.match
+    applied = start = 0
+    while applied < budget and start < len(gates):
+        wires = gates[start].wires
+        perms = [gates[start].gate.perm]  # of the same-wire run from start
+        if 2 ** len(wires) == dimension:
+            for inst in gates[start + 1:start + longest]:
+                if inst.wires != wires:
+                    break
+                perms.append(inst.gate.perm)
+        # a match covers more than half of a template of 2+ gates
+        hit = match(perms) if len(perms) > 1 else None
         if hit is None:
-            break
-        start, count, replacement = hit
-        gates[start:start + count] = replacement
+            start += 1
+            continue
+        p, replacement = hit
+        gates[start:start + p] = [GateInstance(named_gate(g), wires)
+                                  for g in replacement]
         applied += 1
         # a window starting before this reads only gates before `start`,
         # which did not change, and it failed in this scan or an earlier one
-        resume = max(0, start - scan.longest + 1)
+        start = max(0, start - longest + 1)
     return applied
 
 

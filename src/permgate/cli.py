@@ -304,10 +304,7 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command]
     try:
         return handler(args, parser)
-    except PermGateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PermGateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

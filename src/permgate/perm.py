@@ -65,7 +65,7 @@ class Permutation:
         images = [-1] * size
         seen = set()
         for pos, tok in enumerate(tokens):
-            if not tok.isdigit():
+            if not (tok.isascii() and tok.isdigit()):
                 raise NotationError(f"expected positive integer, got {tok!r}")
             entry = int(tok)
             if not 1 <= entry <= size:

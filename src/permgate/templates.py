@@ -207,7 +207,7 @@ def two_gate_templates(library: GateLibrary) -> list[Template]:
     """One (U, U^-1) template per library gate, library order.
 
     Permutation-level reference for generate_templates' first level, which
-    runs on library indices.
+    expands the one-gate identity word on library indices.
 
     The identity gate contributes the degenerate (I, I); it is kept here so
     the count equals |library| exactly, and dropped at store level.
@@ -427,8 +427,9 @@ def generate_templates(
 ) -> TemplateStore:
     """Breadth-first template generation up to max_size gates.
 
-    Starts from the two-gate templates and repeatedly expands every stored
-    template at every position, keeping candidates that verify, are not
+    Starts from the one-gate identity word, whose expansions are the
+    two-gate templates, and repeatedly expands every template of the last
+    level at every position, keeping candidates that verify, are not
     degenerate, are new up to symmetry, and do not contain a shorter stored
     template as a contiguous cyclic factor.  If the store budget is hit the
     result is returned partial with complete=False and a warning.
@@ -446,14 +447,6 @@ def generate_templates(
     mul, inv, e = table.mul, table.inv, table.identity
     stored = store._words
 
-    def partial() -> TemplateStore:
-        store.complete = False
-        warnings.warn(
-            f"template store budget of {max_templates} reached; "
-            f"result is partial"
-        )
-        return store
-
     def try_add(word: tuple[int, ...], back: tuple[int, ...]) -> bool:
         # back is word reversed with every gate inverted.  A candidate is an
         # identity word with no identity gate and no cyclically adjacent
@@ -468,17 +461,9 @@ def generate_templates(
         return True
 
     rotations = store._rotations
-    everything = range(len(library))
-    frontier = []
-    for g in everything:
-        if len(stored) >= max_templates:
-            return partial()
-        pair = (g, inv[g])  # its own reversed inverse
-        if g != e and try_add(pair, pair):
-            frontier.append(pair)
-
-    pairs = [(u, inv[u]) for u in everything]
-    for _ in range(3, max_size + 1):
+    pairs = [(u, inv[u]) for u in range(len(library))]
+    frontier = [(e,)]  # its expansions are the two-gate templates (u, u^-1)
+    for _ in range(2, max_size + 1):
         next_frontier = []
         for word in frontier:
             back = tuple([inv[g] for g in reversed(word)])
@@ -487,14 +472,19 @@ def generate_templates(
                 # back is tail's reversed inverse, inv[target], head's
                 tail_back, head_back = back[:len(tail)], back[len(tail) + 1:]
                 # a stored word has no identity gate and no adjacent inverse
-                # pair off the split gate, and v * u = target is not the
-                # identity, so a candidate is degenerate only where u or v is
-                # the identity or the inverse of its outer neighbour
+                # pair off the split gate, and v * u = target is not e, so a
+                # candidate is degenerate only where u or v is e or the
+                # inverse of its outer neighbour; in the start word (e,),
+                # before = after = e and (u, u^-1) is degenerate only at u = e
                 before = inv[word[position - 1]]
                 after = inv[word[(position + 1) % len(word)]]
                 for u, inv_u in pairs:
                     if len(stored) >= max_templates:
-                        return partial()
+                        store.complete = False
+                        warnings.warn(
+                            f"template store budget of {max_templates} "
+                            f"reached; result is partial")
+                        return store
                     v = row[inv_u]
                     if u == e or v == e or u == before or v == after:
                         continue

@@ -126,6 +126,14 @@ class TestOneLineNotation:
         with pytest.raises(NotationError):
             Permutation.from_one_line("(1,-2)")
 
+    @pytest.mark.parametrize("text, token", [
+        ("(²,1)", "²"),  # superscript two: int() refuses it
+        ("(１,2)", "１"),  # fullwidth one: int() reads 1
+        ("(1,٢)", "٢")])  # Arabic-Indic two: int() reads 2
+    def test_non_ascii_digits_refused(self, text, token):
+        with pytest.raises(NotationError, match=repr(token)):
+            Permutation.from_one_line(text)
+
     def test_round_trip_fixed(self):
         assert Permutation.from_one_line("(4,3,1,2)").one_line() == "(4,3,1,2)"
         assert Permutation.identity(2).one_line() == "(1,2)"

@@ -449,7 +449,8 @@ def test_one_rotation_set_per_stored_template():
 
 
 @pytest.mark.parametrize("dimension, budget", [
-    (2, 0), (2, 1), (2, 2), (3, 17), (3, 51), (3, 52)])
+    (2, 0), (2, 1), (2, 2), (3, 17), (3, 51), (3, 52),
+    (3, 3), (3, 4), (3, 5), (4, 15), (4, 16), (4, 17)])
 def test_budget_is_checked_before_skipped_candidates(dimension, budget):
     # S_2 stores one template, and every expansion of it is degenerate; at
     # a budget of 1 those skipped candidates still find the store full, so
