@@ -9,10 +9,11 @@ wire over all 2**n basis indices: circuit_permutation transposes those ints
 to images, and equivalent XORs two circuits' ints for the first differing
 index.  No circuit code needs numpy.
 
-Rewriting never widens a circuit: adjacent mutually-inverse pairs on the
-same wires are deleted, and any window matching a strict majority of a
-stored identity template (read cyclically) is replaced by the inverted
-remainder, which is always shorter.  Both passes preserve the circuit's
+Rewriting never widens a circuit: identity gates and adjacent
+mutually-inverse pairs on the same wires are deleted, and any window
+matching a strict majority of a stored identity template (read cyclically,
+forward or reversed with every gate inverted) is replaced by the rest of
+that template, which is always shorter.  Both passes preserve the circuit's
 permutation by construction; the CLI's optimize command re-checks that
 with equivalent before it writes the result.
 
@@ -180,8 +181,8 @@ def equivalent(a: Circuit, b: Circuit) -> int | None:
 
 
 def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
-    """Delete adjacent pairs on identical wire lists whose permutations are
-    mutual inverses, to fixpoint."""
+    """Delete identity gates, and adjacent pairs on identical wire lists
+    whose permutations are mutual inverses, to fixpoint."""
     return Circuit(circuit.n_wires, _cancel_inverses(circuit.gates), force=True)
 
 
@@ -192,7 +193,7 @@ def _cancel_inverses(gates) -> list[GateInstance]:
         if (out and out[-1].wires == inst.wires
                 and (out[-1].gate.perm * inst.gate.perm).is_identity()):
             out.pop()
-        else:
+        elif not inst.gate.perm.is_identity():  # so out holds no identity
             out.append(inst)
     return out
 
@@ -206,9 +207,10 @@ def template_rewrite(
 
     A window of p same-wire instances whose composed permutation equals p
     consecutive template gates (cyclically, p > m - p) is replaced by the
-    inverted remaining m - p gates in reverse order.  Repeats until
-    fixpoint or budget; the circuit permutation is preserved and the gate
-    count never increases.
+    inverted remaining m - p gates in reverse order; one equal to their
+    inverse (the template read backwards, gates inverted) by those m - p
+    gates as stored.  Repeats until fixpoint or budget; the circuit
+    permutation is preserved and the gate count never increases.
     """
     gates = list(circuit.gates)
     _template_rewrite(gates, store, budget)

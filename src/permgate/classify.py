@@ -11,9 +11,11 @@ counts as separable if it factors across at least one bipartition; for a
 single wire there is nothing to split, so every 1-qubit gate is separable
 by convention.
 
-classify_all counts the census without visiting a gate; list_gates
-enumerates S_{2^n} and tests each gate, and is the reference the counts
-are checked against.
+classify_all counts the census without visiting a gate: its total and
+Hermitian counts come from counting.census, under the census cap that
+stats has too.  list_gates enumerates S_{2^n} and tests each gate, and is
+the reference the counts are checked against; the enumeration cap bounds
+it (3 qubits, 8! = 40320 gates, without force).
 """
 
 from __future__ import annotations
@@ -23,14 +25,9 @@ from fractions import Fraction
 
 import math
 
-from .counting import _gate_count, involution_count
-from .errors import CapExceeded, DimensionError
+from .counting import census
+from .errors import DimensionError
 from .perm import Permutation, enumerate_permutations
-
-# list_gates enumerates: 3 qubits means 8! = 40320 gates, the last list that
-# is quick on a desk.  classify_all only counts, but (2^n)! itself grows
-# without bound in n, so it keeps the same cap and the same override.
-CENSUS_CAP = 3
 
 GATE_FILTERS = ("all", "hermitian", "non_hermitian", "separable", "entangled")
 
@@ -169,22 +166,9 @@ class CensusReport:
     entangled_fraction: Fraction
 
 
-def _check_census_cap(n_qubits: int, force: bool) -> None:
-    if n_qubits < 1:
-        raise DimensionError(f"invalid qubit count {n_qubits}")
-    if n_qubits > CENSUS_CAP and not force:
-        raise CapExceeded(
-            f"census over {n_qubits} qubits refused: cap is {CENSUS_CAP} "
-            f"qubits ((2^{CENSUS_CAP})! gates); pass force=True "
-            f"(--force on the command line) to override"
-        )
-
-
 def classify_all(n_qubits: int, force: bool = False) -> CensusReport:
     """Involution and separability tallies over S_{2^n}, counted exactly."""
-    _check_census_cap(n_qubits, force)
-    total = _gate_count(n_qubits)
-    hermitian = involution_count(2 ** n_qubits)
+    total, hermitian = census(n_qubits, force)
     separable = _separable_count(n_qubits)
     return CensusReport(
         n_qubits=n_qubits,
@@ -203,7 +187,8 @@ def list_gates(n_qubits: int, which: str = "all",
     """Gates of S_{2^n} matching a filter, in lexicographic image order."""
     if which not in GATE_FILTERS:
         raise ValueError(f"unknown filter {which!r}; expected one of {GATE_FILTERS}")
-    _check_census_cap(n_qubits, force)
+    if n_qubits < 1:
+        raise DimensionError(f"invalid qubit count {n_qubits}")
     keep = {
         "all": lambda p: True,
         "hermitian": is_hermitian,

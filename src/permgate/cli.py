@@ -24,7 +24,7 @@ from . import circuit as circ
 from . import counting
 from .classify import classify_all
 from .counting import render_percent
-from .errors import CapExceeded, PermGateError
+from .errors import PermGateError
 from .perm import check_enumeration_cap, involutions
 from .templates import (
     MAX_TEMPLATE_SIZE,
@@ -33,10 +33,6 @@ from .templates import (
     load_store,
     save_store,
 )
-
-# stats computes (2^n)! and a(2^n) exactly: on an Intel Xeon it takes 0.4 s
-# at 14 qubits, 1.7 s at 15 and about 4.5 times longer per qubit after that
-STATS_CAP = 14
 
 # enumerate writes S_m in blocks: the k! lines, k = min(m, ENUMERATE_TAIL),
 # that share their first m - k entries.  Under every filter one write call
@@ -110,17 +106,10 @@ def _cmd_stats(args, parser) -> int:
         parser.error(f"--qubits must be in 1..{counting.MAX_QUBITS}")
     if not 0 <= args.decimals <= counting.MAX_DECIMALS:
         parser.error(f"--decimals must be in 0..{counting.MAX_DECIMALS}")
-    if args.qubits > STATS_CAP and not args.force:
-        raise CapExceeded(
-            f"stats over S_{2 ** args.qubits} refused: cap is {STATS_CAP} "
-            f"qubits; pass --force to override"
-        )
-    dim = 2 ** args.qubits
-    total = counting._gate_count(args.qubits)
-    hermitian = counting.involution_count(dim)
+    total, hermitian = counting.census(args.qubits, args.force)
     ratio = Fraction(total - hermitian, total)
     print(f"qubits={args.qubits}")
-    print(f"dimension={dim}")
+    print(f"dimension={2 ** args.qubits}")
     print(f"total={_digits(total)}")
     print(f"hermitian={_digits(hermitian)}")
     print(f"non_hermitian={_digits(total - hermitian)}")

@@ -116,7 +116,7 @@ class Permutation:
         return Permutation(inv)
 
     def is_identity(self) -> bool:
-        return all(img == j for j, img in enumerate(self._images))
+        return self._images == tuple(range(len(self._images)))
 
     def is_involution(self) -> bool:
         """True iff p composed with itself is the identity (p == p^-1)."""

@@ -359,7 +359,7 @@ class _RewriteScan:
     compose to table index g, over every strict majority p (m // 2 < p <= m)
     of every word of length m.  So for a window of p gates composing to g,
     one lookup per p answers what the template-by-template scan would find
-    first at that p.
+    first at that p, and one of g^-1 what it would find reading backwards.
 
     A stored word composes to the identity, so its p gates from ``offset``
     compose to the inverse of the m - p gates after them, and each entry is
@@ -398,24 +398,33 @@ class _RewriteScan:
                     acc = mul[inv[cyclic[offset + p]]][acc]
 
     def match(self, perms) -> tuple[int, list[Permutation]] | None:
-        """(p, the inverted remainder in circuit order) for the first p of
-        `perms`, the permutations of a run of at most ``longest`` same-wire
-        gates, under the scan order (best rank, then largest p), or None."""
+        """(p, the replacement in circuit order) for the first p of `perms`,
+        the permutations of a run of at most ``longest`` same-wire gates, or
+        None.  A word read backwards with its gates inverted is an identity
+        too: p gates composing to the inverse of p consecutive gates of a
+        word match that reading, and are replaced by the remainder as stored
+        instead of inverted and reversed.  The order is best rank, largest
+        p, forward before backwards, then first offset into the stored word.
+        """
         table = self.table
-        intern, mul, first = table.intern, table.mul, self.first
+        intern, mul, inv, first = table.intern, table.mul, table.inv, self.first
         acc = intern(perms[0])  # the window product, interning new gates
         best = None
         for p, perm in enumerate(perms[1:], 2):
             acc = mul[intern(perm)][acc]
-            hit = first[p].get(acc)
-            # an equal rank at a larger p is the same template's larger match
-            if hit is not None and (best is None or hit[0] <= best[0]):
-                best = (*hit, p)
+            for reverse, key in ((False, acc), (True, inv[acc])):
+                hit = first[p].get(key)
+                # hits come by p, at each p the forward reading first
+                if hit is not None and (best is None or hit[0] < best[0] or (
+                        hit[0] == best[0] and p > best[2])):
+                    best = (*hit, p, reverse)
         if best is None:
             return None
-        rank, offset, p = best
+        rank, offset, p, reverse = best
         word = self.ranked[rank]
         rest = (word + word)[offset + p:offset + len(word)]
+        if reverse:
+            return p, [table.perms[g] for g in rest]
         return p, [table.perms[table.inv[g]] for g in reversed(rest)]
 
 

@@ -11,6 +11,7 @@ from permgate.circuit import (
     Circuit,
     Gate,
     GateInstance,
+    OptimizeReport,
     cancel_adjacent_inverses,
     circuit_permutation,
     equivalent,
@@ -84,6 +85,36 @@ def circuits(draw):
         wires = tuple(draw(st.permutations(range(n_wires)))[:k])
         gates.append(GateInstance(gate, wires))
     return Circuit(n_wires, gates)
+
+
+@st.composite
+def circuits_with_identities(draw):
+    """2-4 wires of 1-3-wire gates: builtin, inline or identity, with
+    same-wire runs of 2-wire gates on wires 0 and 1 for the rewrite scan."""
+    n_wires = draw(st.integers(2, 4))
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        k = draw(st.integers(1, min(3, n_wires)))
+        kind = draw(st.sampled_from(["builtin", "inline", "identity"]))
+        if kind == "builtin":
+            gate = draw(st.sampled_from([g for g in BUILTIN_GATES.values()
+                                         if g.n_qubits == k]))
+        elif kind == "inline":
+            gate = named_gate(Permutation(draw(st.permutations(range(2 ** k)))))
+        else:
+            gate = named_gate(Permutation.identity(2 ** k))
+        if k == 2 and draw(st.booleans()):
+            wires = (0, 1)
+        else:
+            wires = tuple(draw(st.permutations(range(n_wires)))[:k])
+        gates.append(GateInstance(gate, wires))
+    return Circuit(n_wires, gates)
+
+
+def two_wire(*texts):
+    """A circuit of 2-qubit gates in one-line notation, all on wires 0 1."""
+    return Circuit(2, [inst(named_gate(Permutation.from_one_line(t)), 0, 1)
+                       for t in texts])
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +380,12 @@ class TestCancelAdjacentInverses:
         c = Circuit(2, [inst(CNOT, 0, 1), inst(CNOT, 1, 0)])
         assert cancel_adjacent_inverses(c) == c
 
+    def test_identity_gates_deleted(self):
+        ident = Gate(Permutation.identity(4))
+        c = Circuit(2, [inst(CNOT, 0, 1), inst(ident, 1, 0), inst(CNOT, 0, 1),
+                        inst(BUILTIN_GATES["I"], 1)])
+        assert len(cancel_adjacent_inverses(c)) == 0
+
     def test_nested_pairs(self):
         c = Circuit(2, [inst(SWAP, 0, 1), inst(CNOT, 0, 1),
                         inst(CNOT, 0, 1), inst(SWAP, 0, 1)])
@@ -433,14 +470,37 @@ class TestTemplateRewrite:
             return Circuit(2, [inst(named_gate(Permutation.from_one_line(t)), 0, 1)
                                for t in texts])
 
-        c = circuit("(2,3,1,4)", "(1,4,2,3)", "(1,4,2,3)", "(1,4,2,3)",
-                    "(2,4,3,1)", "(2,3,1,4)", "(2,4,3,1)", "(2,4,3,1)")
+        c = circuit("(4,3,1,2)", "(1,3,4,2)", "(3,2,4,1)", "(2,4,3,1)",
+                    "(4,2,1,3)", "(3,4,2,1)", "(4,3,1,2)", "(2,3,1,4)")
         assert template_rewrite(c, store, budget=1) == circuit(
-            "(2,3,1,4)", "(1,4,2,3)", "(1,4,2,3)", "(1,4,2,3)",
-            "(2,4,3,1)", "(4,2,1,3)")
+            "(4,3,1,2)", "(1,3,4,2)", "(3,2,4,1)", "(2,4,3,1)",
+            "(4,2,1,3)", "(2,3,1,4)")
         assert template_rewrite(c, store, budget=2) == circuit(
-            "(2,3,1,4)", "(1,4,2,3)")
-        assert template_rewrite(c, store) == circuit("(2,3,1,4)", "(1,4,2,3)")
+            "(4,3,1,2)", "(1,3,4,2)")
+        assert template_rewrite(c, store) == circuit("(4,3,1,2)", "(1,3,4,2)")
+
+    def test_reversed_inverse_orientation(self):
+        # the store keeps one orientation of a word, but the word read
+        # backwards with every gate inverted is an identity template too
+        store = parse_store("templates dim=4\n"
+                            "template: (2,3,4,1);(2,3,1,4);(4,3,1,2)\n")
+        assert (template_rewrite(two_wire("(2,3,4,1)", "(2,3,1,4)"), store)
+                == two_wire("(3,4,2,1)"))
+        assert (template_rewrite(two_wire("(3,4,2,1)", "(3,1,2,4)"), store)
+                == two_wire("(2,3,4,1)"))
+
+    def test_forward_reading_wins_a_tie(self):
+        # the window composes to an involution, so both readings of the
+        # one word match it at the same rank and size; forward wins
+        store = parse_store(
+            "templates dim=4\n"
+            "template: (2,4,3,1);(1,2,4,3);(4,1,3,2);(2,3,1,4);(2,1,3,4)\n")
+        c = two_wire("(2,4,3,1)", "(1,2,4,3)", "(4,1,3,2)")
+        forward = two_wire("(2,1,3,4)", "(3,1,2,4)")
+        reverse = two_wire("(2,3,1,4)", "(2,1,3,4)")
+        assert equivalent(forward, c) is None
+        assert equivalent(reverse, c) is None
+        assert template_rewrite(c, store) == forward
 
     def test_deterministic(self, s4_store):
         rng = random.Random(43)
@@ -464,6 +524,31 @@ class TestOptimize:
         out, report = optimize(c)
         assert len(out) == 0
         assert report.removed == 2
+
+    def test_identity_gate_deleted(self):
+        c = parse_circuit("qubits 1\ngate I 0\n")
+        out, report = optimize(c)
+        assert len(out) == 0
+        assert report.cancelled_gates == 1
+
+    def test_identity_in_a_run_deleted(self, s4_store):
+        # without the identity gate, the other two are an inverse pair
+        c = two_wire("(1,2,3,4)", "(2,3,4,1)", "(4,1,2,3)")
+        out, report = optimize(c, s4_store)
+        assert len(out) == 0
+        assert (report.cancelled_gates, report.template_rewrites) == (3, 0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(c=circuits_with_identities())
+    def test_sound_shrinking_idempotent_and_identity_free(self, s4_store, c):
+        for store in (None, s4_store):
+            out, report = optimize(c, store)
+            assert equivalent(out, c) is None
+            assert len(out) <= len(c)
+            assert optimize(out, store) == (out, OptimizeReport(
+                len(out), len(out), 0, 0))
+            assert not any(g.gate.perm.is_identity() for g in out.gates)
+            assert report.gates_after == len(out)
 
     def test_idempotent(self, s4_store):
         rng = random.Random(47)

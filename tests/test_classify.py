@@ -210,8 +210,13 @@ class TestCensus:
         assert r.separable_count + r.entangled_count == r.total
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            classify_all(4)
+        # the census cap that stats has; list_gates still stops at the
+        # enumeration cap, since it lists the gates
+        with pytest.raises(CapExceeded, match="cap is 14 qubits"):
+            classify_all(15)
+        assert classify_all(4).separable_count == 323232
+        with pytest.raises(CapExceeded, match="enumeration of S_16"):
+            list_gates(4)
 
     def test_invalid_qubits(self):
         with pytest.raises(DimensionError):

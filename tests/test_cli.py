@@ -181,12 +181,13 @@ class TestStats:
         code, out, err = run(capsys, "stats", "--qubits", "15")
         assert code == 1
         assert out == ""
-        assert "cap" in err
+        assert err.startswith("error: census over 15 qubits refused: "
+                              "cap is 14 qubits; ")
         assert "--force" in err
 
     def test_force_overrides_the_cap(self, capsys, monkeypatch):
         _, expected, _ = run(capsys, "stats", "--qubits", "3")
-        monkeypatch.setattr("permgate.cli.STATS_CAP", 2)
+        monkeypatch.setattr(counting, "CENSUS_CAP", 2)
         code, out, err = run(capsys, "stats", "--qubits", "3")
         assert (code, out) == (1, "")
         assert "cap" in err
@@ -201,6 +202,21 @@ class TestStats:
         assert (code, out) == (1, "")
         assert err == (f"error: the (2^{qubits})! gates on {qubits} qubits "
                        f"are past what math.factorial can count\n")
+
+    @pytest.mark.parametrize("decimals", ["0", "2", "12"])
+    def test_same_census_lines_as_classify(self, capsys, decimals):
+        shared = ("total=", "hermitian=", "non_hermitian=",
+                  "non_hermitian_percent=")
+        for n in range(1, 13):
+            lines = []
+            for command in ("stats", "classify"):
+                code, out, err = run(capsys, command, "--qubits", str(n),
+                                     "--decimals", decimals)
+                assert (code, err) == (0, "")
+                lines.append([line for line in out.splitlines()
+                              if line.startswith(shared)])
+            assert lines[0] == lines[1]
+            assert len(lines[0]) == 4
 
 
 class TestEnumerate:
@@ -394,10 +410,14 @@ class TestClassify:
         assert "hermitian=764\n" in out
 
     def test_cap_is_domain_error(self, capsys):
-        code, _, err = run(capsys, "classify", "--qubits", "4")
-        assert code == 1
-        assert "cap" in err
+        code, out, err = run(capsys, "classify", "--qubits", "15")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: census over 15 qubits refused: "
+                              "cap is 14 qubits; ")
         assert "--force" in err
+        code, out, err = run(capsys, "classify", "--qubits", "4")
+        assert (code, err) == (0, "")
+        assert "separable=323232\n" in out
 
     def test_cap_refusal_names_the_qubit_count(self, capsys):
         # S_{2^99999} would print 2^99999, past the 4300-digit int-to-str limit
@@ -413,7 +433,11 @@ class TestClassify:
         assert err == (f"error: the (2^{qubits})! gates on {qubits} qubits "
                        f"are past what math.factorial can count\n")
 
-    def test_force_answers_past_the_cap(self, capsys):
+    def test_force_answers_past_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(counting, "CENSUS_CAP", 3)
+        code, out, err = run(capsys, "classify", "--qubits", "4")
+        assert (code, out) == (1, "")
+        assert "cap is 3 qubits" in err
         code, out, err = run(capsys, "classify", "--qubits", "4", "--force")
         assert code == 0
         assert err == ""

@@ -3,12 +3,15 @@ from math import factorial
 
 import pytest
 
+from permgate import counting
 from permgate.counting import (
+    CENSUS_CAP,
+    census,
     involution_count,
     non_hermitian_fraction,
     render_percent,
 )
-from permgate.errors import DimensionError
+from permgate.errors import CapExceeded, DimensionError
 from permgate.perm import enumerate_permutations
 
 # involution numbers for 1..17 letters
@@ -69,6 +72,38 @@ class TestInvolutionCount:
             assert (a == factorial(m)) == (m <= 2)
 
 
+class TestCensus:
+    def test_counts(self):
+        assert census(1) == (2, 2)
+        assert census(2) == (24, 10)
+        assert census(3) == (40320, 764)
+        assert census(4) == (factorial(16), INVOLUTION_SEQUENCE[15])
+
+    def test_cap(self):
+        assert CENSUS_CAP == 14
+        with pytest.raises(CapExceeded, match="census over 15 qubits refused: "
+                                              "cap is 14 qubits; "):
+            census(15)
+
+    def test_force_overrides_the_cap(self, monkeypatch):
+        monkeypatch.setattr(counting, "CENSUS_CAP", 2)
+        with pytest.raises(CapExceeded, match="cap is 2 qubits"):
+            census(3)
+        assert census(3, force=True) == (40320, 764)
+
+    @pytest.mark.parametrize("n_qubits", [0, -1])
+    def test_invalid_qubits(self, n_qubits):
+        with pytest.raises(DimensionError, match="invalid qubit count"):
+            census(n_qubits, force=True)
+
+    @pytest.mark.parametrize("n_qubits", [63, 64, 99999])
+    def test_past_math_factorial_even_under_force(self, n_qubits):
+        with pytest.raises(CapExceeded):
+            census(n_qubits)
+        with pytest.raises(DimensionError, match="math.factorial"):
+            census(n_qubits, force=True)
+
+
 class TestNonHermitianFraction:
     def test_one_qubit_all_involutions(self):
         assert non_hermitian_fraction(1) == Fraction(0)
@@ -87,6 +122,10 @@ class TestNonHermitianFraction:
     def test_strictly_increasing(self):
         values = [non_hermitian_fraction(n) for n in range(1, 7)]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    def test_uncapped(self, monkeypatch):
+        monkeypatch.setattr(counting, "CENSUS_CAP", 1)
+        assert non_hermitian_fraction(3) == Fraction(40320 - 764, 40320)
 
     def test_range_guard(self):
         with pytest.raises(DimensionError):

@@ -4,7 +4,8 @@ The reference below runs generation, loading and the rewrite scan the way
 they ran on Permutation objects: two_gate_templates, expand_template,
 Template.is_degenerate, Template.canonical_key and Template.verifies on
 every candidate, a store keyed by image tuples, and a scan that composes
-every window and template slice and restarts at gate 0 after each
+every window and template slice, reads each template forward and then
+backwards with its gates inverted, and restarts at gate 0 after each
 rewrite.  Libraries are random subgroups of S_3 and S_4, listed in
 shuffled order so that library index order is not image order.
 """
@@ -156,12 +157,17 @@ def ref_find_rewrite(circuit, templates, dimension):
             m = len(t.gates)
             cyclic = t.gates * 2
             for p in range(min(m, run), m // 2, -1):
-                for offset in range(m):
-                    if _product(cyclic[offset:offset + p], dimension) != windows[p]:
-                        continue
-                    replacement = [GateInstance(named_gate(g.inverse()), wires)
-                                   for g in reversed(cyclic[offset + p:offset + m])]
-                    return start, p, replacement
+                # forward, the window composes to p consecutive gates; read
+                # backwards with every gate inverted, to their inverse
+                for reverse in (False, True):
+                    window = windows[p].inverse() if reverse else windows[p]
+                    for offset in range(m):
+                        if _product(cyclic[offset:offset + p], dimension) != window:
+                            continue
+                        rest = cyclic[offset + p:offset + m]
+                        rest = rest if reverse else [g.inverse() for g in reversed(rest)]
+                        return start, p, [GateInstance(named_gate(g), wires)
+                                          for g in rest]
     return None
 
 
