@@ -28,9 +28,10 @@ import sys
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import DimensionError, FileFormatError, WiringError, _read_ascii
+from .errors import (CapExceeded, DimensionError, FileFormatError, WiringError,
+                     _read_ascii, check_cap)
 from .perm import Permutation
-from .templates import TemplateStore
+from .templates import TemplateStore, _RewriteScan
 
 WIRE_CAP = 12
 DEFAULT_REWRITE_BUDGET = 10_000
@@ -110,12 +111,9 @@ class Circuit:
     def __init__(self, n_wires: int, gates=(), force: bool = False):
         if n_wires < 1:
             raise DimensionError(f"invalid wire count {n_wires}")
-        if n_wires > WIRE_CAP and not force:
-            raise DimensionError(
-                f"{n_wires} wires exceeds the cap of {WIRE_CAP} "
-                f"(semantics live on 2^n indices); pass force=True "
-                f"(--force on the command line) to override"
-            )
+        # semantics live on 2^n indices
+        check_cap(n_wires > WIRE_CAP, force, f"a circuit of {n_wires} wires",
+                  f"{WIRE_CAP} wires")
         if n_wires >= sys.maxsize.bit_length():  # even under force
             raise DimensionError(f"{n_wires} wires are too many: the 2^n "
                                  f"basis indices must stay below sys.maxsize")
@@ -212,25 +210,31 @@ def template_rewrite(
     gates as stored.  Repeats until fixpoint or budget; the circuit
     permutation is preserved and the gate count never increases.
     """
+    if budget < 0:
+        raise ValueError(f"negative rewrite budget {budget}")
     gates = list(circuit.gates)
-    _template_rewrite(gates, store, budget)
+    _template_rewrite(gates, _build_scan(store), budget)
     return Circuit(circuit.n_wires, gates, force=True)
 
 
-def _template_rewrite(gates: list[GateInstance], store, budget: int) -> int:
-    """template_rewrite on a gate list, splicing each rewrite in place;
-    returns the number of rewrites.  Each rewrite is the first in the fixed
-    order: leftmost window, longest template first (then store order),
-    largest match, first cyclic offset."""
-    if budget < 0:
-        raise ValueError(f"negative rewrite budget {budget}")
+def _build_scan(store: TemplateStore) -> _RewriteScan:
+    """The rewrite lookup of a store whose templates can match qubit gates."""
     dimension = store.dimension
     if dimension & (dimension - 1):
         raise DimensionError(
             f"store dimension {dimension} is not a power of two; "
             f"it can never match a window of qubit gates"
         )
-    scan = store._rewrite_scan()
+    return _RewriteScan(store)
+
+
+def _template_rewrite(gates: list[GateInstance], scan: _RewriteScan,
+                      budget: int) -> int:
+    """template_rewrite on a gate list, splicing each rewrite in place;
+    returns the number of rewrites.  Each rewrite is the first in the fixed
+    order: leftmost window, longest template first (then store order),
+    largest match, first cyclic offset."""
+    dimension = scan.table.dimension
     longest, match = scan.longest, scan.match
     applied = start = 0
     while applied < budget and start < len(gates):
@@ -277,13 +281,16 @@ def optimize(
     gates = circuit.gates
     cancelled = 0
     rewrites = 0
+    scan = None  # built at the first rewrite round, for this call only
     while True:
         shrunk = _cancel_inverses(gates)
         cancelled += len(gates) - len(shrunk)
         gates = shrunk
         if store is None or rewrites >= budget:
             break
-        applied = _template_rewrite(gates, store, budget - rewrites)
+        if scan is None:
+            scan = _build_scan(store)
+        applied = _template_rewrite(gates, scan, budget - rewrites)
         rewrites += applied
         if applied == 0:
             break
@@ -345,7 +352,7 @@ def parse_circuit(text: str, force: bool = False) -> Circuit:
                 raise FileFormatError(lineno, f"bad wire count {fields[1]!r}") from None
             try:
                 Circuit(n_wires, force=force)
-            except DimensionError as exc:
+            except (DimensionError, CapExceeded) as exc:
                 raise FileFormatError(lineno, str(exc)) from None
             continue
         if fields[0] == "gate":

@@ -17,9 +17,8 @@ from fractions import Fraction
 import math
 import sys
 
-from .errors import CapExceeded, DimensionError
+from .errors import DimensionError, check_cap
 
-MAX_QUBITS = 64
 MAX_DECIMALS = 50
 
 # a census computes (2^n)! and a(2^n) exactly: on an Intel Xeon it takes
@@ -58,11 +57,8 @@ def census(n_qubits: int, force: bool = False) -> tuple[int, int]:
     """
     if n_qubits < 1:
         raise DimensionError(f"invalid qubit count {n_qubits}")
-    if n_qubits > CENSUS_CAP and not force:
-        raise CapExceeded(
-            f"census over {n_qubits} qubits refused: cap is {CENSUS_CAP} "
-            f"qubits; pass force=True (--force on the command line) to override"
-        )
+    check_cap(n_qubits > CENSUS_CAP, force, f"census over {n_qubits} qubits",
+              f"{CENSUS_CAP} qubits")
     if n_qubits < sys.maxsize.bit_length():
         with suppress(OverflowError):
             total = math.factorial(2 ** n_qubits)

@@ -1,9 +1,11 @@
 """Exception types shared across the package.
 
 Everything raised on purpose derives from PermGateError so callers (the CLI
-in particular) can distinguish domain failures from bugs.  Input files
-are read through _read_ascii, so an encoding fault is a FileFormatError
-too.
+in particular) can distinguish domain failures from bugs.  Every size cap
+(enumeration, multiplication table, census, wires) is refused by check_cap,
+the one place that raises CapExceeded, so every refusal has one shape.
+Input files are read through _read_ascii, so an encoding fault is a
+FileFormatError too.
 """
 
 
@@ -21,6 +23,15 @@ class NotationError(PermGateError, ValueError):
 
 class CapExceeded(PermGateError):
     """A size guard was hit; the message states the cap and the override."""
+
+
+def check_cap(over: bool, force: bool, what: str, cap: int | str) -> None:
+    """Refuse `what` with CapExceeded when it is over its cap, unless force
+    is set; the message states the cap and the override."""
+    if over and not force:
+        raise CapExceeded(
+            f"{what} refused: cap is {cap}; pass force=True (--force on the "
+            f"command line) to override")
 
 
 class ClosureError(PermGateError):

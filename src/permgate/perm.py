@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 import itertools
 
-from .errors import CapExceeded, DimensionError, NotationError
+from .errors import DimensionError, NotationError, check_cap
 
 # 12! is about 4.8e8; anything above that is refused without an override.
 ENUMERATION_CAP = 12
@@ -167,12 +167,8 @@ def check_enumeration_cap(size: int, force: bool = False) -> None:
     unless force is set."""
     if size < 1:
         raise DimensionError(f"invalid dimension {size}; must be >= 1")
-    if size > ENUMERATION_CAP and not force:
-        raise CapExceeded(
-            f"enumeration of S_{size} refused: cap is {ENUMERATION_CAP} "
-            f"({ENUMERATION_CAP}! permutations); pass force=True "
-            f"(--force on the command line) to override"
-        )
+    check_cap(size > ENUMERATION_CAP, force, f"enumeration of S_{size}",
+              f"{ENUMERATION_CAP} ({ENUMERATION_CAP}! permutations)")
 
 
 def enumerate_permutations(size: int, force: bool = False) -> Iterator[Permutation]:

@@ -43,8 +43,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import (CapExceeded, ClosureError, DimensionError,
-                     FileFormatError, _read_ascii)
+from .errors import (ClosureError, DimensionError, FileFormatError,
+                     _read_ascii, check_cap)
 from .gatetable import GateTable
 from .perm import Permutation, _product, enumerate_permutations
 
@@ -81,8 +81,9 @@ class GateLibrary:
         past the multiplication table's cap it is refused unless force is
         set, before any gate is built."""
         # dimension! may be too large to compute, and 7! already passes the cap
-        check_table_cap(math.prod(range(2, min(dimension, 7) + 1)), force,
-                        f"the {dimension}! gates of S_{dimension}")
+        check_cap(math.prod(range(2, min(dimension, 7) + 1)) > MULT_TABLE_CAP,
+                  force, f"multiplication table for the {dimension}! gates of "
+                  f"S_{dimension}", MULT_TABLE_CAP)
         return cls(dimension, [(p.one_line(), p)
                                for p in enumerate_permutations(dimension, force)])
 
@@ -94,19 +95,6 @@ class GateLibrary:
 
     def index_of(self, gate: Permutation) -> int:
         return self._index[gate]
-
-
-def check_table_cap(n_gates: int, force: bool = False,
-                    gates: str | None = None) -> None:
-    """Refuse a multiplication table over more than MULT_TABLE_CAP gates
-    (|L|^2 products) unless force is set.  The refusal names the gates by
-    `gates` when given, else by their count."""
-    if n_gates > MULT_TABLE_CAP and not force:
-        raise CapExceeded(
-            f"multiplication table for {gates or f'{n_gates} gates'} "
-            f"refused: cap is {MULT_TABLE_CAP}; pass force=True (--force on "
-            f"the command line) to override"
-        )
 
 
 def multiplication_table(library: GateLibrary, force: bool = False) -> list[list[int]]:
@@ -127,7 +115,8 @@ def _fill_library_table(table, library: GateLibrary, force: bool) -> None:
     """Intern the library's gates, in order, into the empty `table` and
     compute every product of two of them, row by row, in its memo; raises
     ClosureError at the first product outside the library."""
-    check_table_cap(len(library), force)
+    check_cap(len(library) > MULT_TABLE_CAP, force,
+              f"multiplication table for {len(library)} gates", MULT_TABLE_CAP)
     for g in library.gates:
         table.intern(g)
     n = len(library)
@@ -267,7 +256,6 @@ class TemplateStore:
         self._words: list[tuple[int, ...]] = []
         self._rotations: set[tuple[int, ...]] = set()  # of all stored words
         self._templates: list[Template] = []
-        self._scan = None
 
     @property
     def templates(self) -> list[Template]:
@@ -321,7 +309,6 @@ class TemplateStore:
     def _insert(self, word: tuple[int, ...]) -> None:
         self._rotations.update([word[k:] + word[:k] for k in range(len(word))])
         self._words.append(word)
-        self._scan = None
 
     def subsumes(self, t: Template) -> bool:
         """True if t contains a stored shorter template as a contiguous
@@ -340,14 +327,6 @@ class TemplateStore:
                 if acc == e and self._known(cyclic[offset:offset + size]):
                     return True
         return False
-
-    def _rewrite_scan(self) -> "_RewriteScan":
-        """The rewrite scan's lookup for the store as it stands, built once
-        and rebuilt only after the store changes."""
-        scan = self._scan
-        if scan is None:
-            scan = self._scan = _RewriteScan(self)
-        return scan
 
 
 class _RewriteScan:

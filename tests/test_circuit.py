@@ -23,7 +23,8 @@ from permgate.circuit import (
     save_circuit,
     template_rewrite,
 )
-from permgate.errors import DimensionError, FileFormatError, WiringError
+from permgate.errors import (CapExceeded, DimensionError, FileFormatError,
+                             WiringError)
 from permgate.perm import Permutation
 from permgate.templates import (GateLibrary, Template, TemplateStore,
                                 generate_templates, parse_store)
@@ -166,7 +167,8 @@ class TestInstanceAndCircuit:
             Circuit(2, [inst(X, 5)])
 
     def test_wire_cap(self):
-        with pytest.raises(DimensionError, match="cap"):
+        with pytest.raises(CapExceeded, match="a circuit of 13 wires refused: "
+                                              "cap is 12 wires"):
             Circuit(13)
         assert Circuit(13, force=True).n_wires == 13
 
@@ -602,7 +604,8 @@ class TestCircuitFiles:
             parse_circuit("")
 
     def test_header_errors_carry_line(self):
-        with pytest.raises(FileFormatError, match="line 2: 13 wires exceeds the cap"):
+        with pytest.raises(FileFormatError, match="line 2: a circuit of 13 "
+                                                  "wires refused: cap is 12 wires"):
             parse_circuit("# wide\nqubits 13\ngate X 12\n")
         with pytest.raises(FileFormatError, match="line 1: invalid wire count 0"):
             parse_circuit("qubits 0\n")

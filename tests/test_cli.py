@@ -146,11 +146,19 @@ class TestStats:
 
     def test_out_of_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["stats", "--qubits", "65"])
+            main(["stats", "--qubits", "0"])
         assert exc.value.code == 2
         with pytest.raises(SystemExit) as exc:
             main(["stats", "--qubits", "2", "--decimals", "51"])
         assert exc.value.code == 2
+        capsys.readouterr()
+        # past the census cap, stats is bounded by the census as classify is
+        code, out, err = run(capsys, "stats", "--qubits", "65")
+        assert (code, out) == (1, "")
+        assert err == ("error: census over 65 qubits refused: cap is 14 "
+                       "qubits; pass force=True (--force on the command "
+                       "line) to override\n")
+        assert run(capsys, "classify", "--qubits", "65") == (code, out, err)
 
     def test_counts_past_the_int_digit_limit(self, capsys):
         # 2048! has 5895 digits, past the default int-to-str limit of 4300

@@ -1,0 +1,139 @@
+"""Every size cap is refused in one shape, by the library and by the CLI.
+
+The library raises CapExceeded, naming the cap and the override.  The CLI
+prints that message as one error line, with empty stdout and exit 1 (2 for
+verify, where exit 1 means DIFFER), and never a traceback.  stats and
+classify are bounded by the one census cap, so they refuse alike.
+"""
+
+import contextlib
+import io
+import itertools
+import re
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from permgate.circuit import Circuit
+from permgate.cli import main
+from permgate.counting import census
+from permgate.errors import CapExceeded
+from permgate.perm import enumerate_permutations
+from permgate.templates import GateLibrary, multiplication_table
+
+OVERRIDE = "; pass force=True (--force on the command line) to override"
+REFUSAL = re.compile(r"^error: (line 1: )?.+ refused: cap is .+; pass "
+                     r"force=True \(--force on the command line\) to "
+                     r"override$")
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+
+
+def library_past_the_table_cap() -> GateLibrary:
+    """721 gates of S_7, one past the multiplication table's cap."""
+    return GateLibrary(7, [(p.one_line(), p) for p in
+                           itertools.islice(enumerate_permutations(7), 721)])
+
+
+# cap -> (the call, refused text, whether the forced call stays bounded)
+CAPS = {
+    "wires": (lambda force: Circuit(13, force=force),
+              "a circuit of 13 wires refused: cap is 12 wires", True),
+    "enumeration": (lambda force: next(enumerate_permutations(13, force)),
+                    "enumeration of S_13 refused: cap is 12 "
+                    "(12! permutations)", True),
+    "census": (lambda force: census(15, force),
+               "census over 15 qubits refused: cap is 14 qubits", False),
+    "symmetric group table": (
+        lambda force: GateLibrary.symmetric_group(7, force),
+        "multiplication table for the 7! gates of S_7 refused: cap is 720",
+        True),
+    "library table": (
+        lambda force: multiplication_table(library_past_the_table_cap(), force),
+        "multiplication table for 721 gates refused: cap is 720", False),
+}
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_every_cap_raises_cap_exceeded_naming_the_override(cap):
+    call, text, bounded = CAPS[cap]
+    with pytest.raises(CapExceeded) as exc:
+        call(False)
+    assert str(exc.value) == text + OVERRIDE
+    if bounded:
+        call(True)
+
+
+def run(*argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error_line(result, code=1):
+    got, out, err = result
+    assert (got, out) == (code, "")
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("\n")
+
+
+def assert_refused(result, code=1):
+    assert_one_error_line(result, code)
+    assert REFUSAL.match(result[2][:-1])
+
+
+@SETTINGS
+@given(n=st.integers(15, 10 ** 6), force=st.booleans())
+@example(n=14285, force=False)
+def test_stats_and_classify_share_the_census_bound(n, force):
+    # --force only where the run stays bounded: from 63 qubits on, (2^n)!
+    # is refused as past math.factorial even under force
+    force = force and n >= 63
+    flags = ["--force"] if force else []
+    stats = run("stats", "--qubits", str(n), *flags)
+    classify = run("classify", "--qubits", str(n), *flags)
+    assert stats == classify
+    if force:
+        assert_one_error_line(stats)
+    else:
+        assert_refused(stats)
+
+
+@SETTINGS
+@given(m=st.integers(13, 10 ** 6),
+       which=st.sampled_from(["all", "involution", "non-involution"]))
+def test_enumerate_refuses_past_its_cap(m, which):
+    assert_refused(run("enumerate", "--dimension", str(m), "--filter", which))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("refusals")
+
+
+@SETTINGS
+@given(k=st.integers(3, 40), max_size=st.integers(2, 6))
+@example(k=11, max_size=3)
+def test_templates_refuses_past_the_table_cap(workdir, k, max_size):
+    out = workdir / "store.tmpl"
+    assert_refused(run("templates", "--dimension", str(2 ** k),
+                       "--max-size", str(max_size), "--out", str(out)))
+    assert not out.exists()
+
+
+@SETTINGS
+@given(n=st.integers(13, 62))
+def test_optimize_and_verify_refuse_wide_circuits(workdir, n):
+    path, out = workdir / "wide.circ", workdir / "wide.opt"
+    path.write_text(f"qubits {n}\ngate X 0\n")
+    assert_refused(run("optimize", "--circuit", str(path), "--out", str(out)))
+    assert not out.exists()
+    assert_refused(run("verify", "--circuit", str(path), "--circuit",
+                       str(path)), code=2)

@@ -18,6 +18,7 @@ from permgate.templates import (
     GateLibrary,
     Template,
     TemplateStore,
+    _RewriteScan,
     expand_template,
     format_store,
     generate_templates,
@@ -413,7 +414,7 @@ class TestStoreFiles:
         tracemalloc.start()
         try:
             store = parse_store(f"templates dim={dimension}\n")
-            scan = store._rewrite_scan()
+            scan = _RewriteScan(store)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
