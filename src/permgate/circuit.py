@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import (CapExceeded, DimensionError, FileFormatError, WiringError,
+from .errors import (DimensionError, FileFormatError, PermGateError, WiringError,
                      _read_ascii, check_cap)
 from .perm import Permutation
 from .templates import TemplateStore, _RewriteScan
@@ -40,10 +40,10 @@ _SPREAD = bytes.maketrans(b"01", b"\0\1")  # a binary digit to a 0/1 byte
 
 @dataclass(frozen=True)
 class Gate:
-    """A named (or inline, name=None) permutation gate on k qubits."""
+    """A permutation gate on k qubits; gates are equal exactly when their
+    permutations are, and a gate's name is its permutation's builtin name."""
 
     perm: Permutation
-    name: str | None = None
 
     def __post_init__(self):
         size = self.perm.size
@@ -56,6 +56,11 @@ class Gate:
     def n_qubits(self) -> int:
         return self.perm.size.bit_length() - 1
 
+    @property
+    def name(self) -> str | None:
+        """The builtin name of the permutation, or None for an inline gate."""
+        return _BUILTIN_NAMES.get(self.perm)
+
 
 def _control_gate(n_qubits: int, controls: int, flip) -> Permutation:
     """Permutation applying `flip` to the low bits when all of the
@@ -66,24 +71,19 @@ def _control_gate(n_qubits: int, controls: int, flip) -> Permutation:
     return Permutation(images)
 
 
-BUILTIN_GATES: dict[str, Gate] = {
-    "I": Gate(Permutation.identity(2), "I"),
-    "X": Gate(Permutation([1, 0]), "X"),
-    "SWAP": Gate(Permutation([0, 2, 1, 3]), "SWAP"),
-    "CNOT": Gate(_control_gate(2, 1, lambda x: x ^ 1), "CNOT"),
-    "TOFFOLI": Gate(_control_gate(3, 2, lambda x: x ^ 1), "TOFFOLI"),
-    "FREDKIN": Gate(
-        _control_gate(3, 1, lambda x: (x & 0b100) | (x & 1) << 1 | (x >> 1 & 1)),
+_BUILTIN_NAMES: dict[Permutation, str] = {
+    Permutation.identity(2): "I",
+    Permutation([1, 0]): "X",
+    Permutation([0, 2, 1, 3]): "SWAP",
+    _control_gate(2, 1, lambda x: x ^ 1): "CNOT",
+    _control_gate(3, 2, lambda x: x ^ 1): "TOFFOLI",
+    _control_gate(3, 1, lambda x: (x & 0b100) | (x & 1) << 1 | (x >> 1 & 1)):
         "FREDKIN",
-    ),
 }
 
-_BUILTIN_BY_PERM = {g.perm: g for g in BUILTIN_GATES.values()}
-
-
-def named_gate(perm: Permutation) -> Gate:
-    """Wrap a permutation, reusing the builtin name when one matches."""
-    return _BUILTIN_BY_PERM.get(perm, Gate(perm))
+BUILTIN_GATES: dict[str, Gate] = {
+    name: Gate(perm) for perm, name in _BUILTIN_NAMES.items()
+}
 
 
 @dataclass(frozen=True)
@@ -188,8 +188,11 @@ def _cancel_inverses(gates) -> list[GateInstance]:
     """cancel_adjacent_inverses on a gate sequence, as a new list."""
     out: list[GateInstance] = []
     for inst in gates:
+        # gates on one wire list have one size, and the pair cancels when the
+        # earlier gate maps each image of the later one back to its index
         if (out and out[-1].wires == inst.wires
-                and (out[-1].gate.perm * inst.gate.perm).is_identity()):
+                and all(out[-1].gate.perm.images[j] == i
+                        for i, j in enumerate(inst.gate.perm.images))):
             out.pop()
         elif not inst.gate.perm.is_identity():  # so out holds no identity
             out.append(inst)
@@ -251,7 +254,7 @@ def _template_rewrite(gates: list[GateInstance], scan: _RewriteScan,
             start += 1
             continue
         p, replacement = hit
-        gates[start:start + p] = [GateInstance(named_gate(g), wires)
+        gates[start:start + p] = [GateInstance(Gate(g), wires)
                                   for g in replacement]
         applied += 1
         # a window starting before this reads only gates before `start`,
@@ -316,26 +319,25 @@ def format_circuit(circuit: Circuit) -> str:
     lines = [f"qubits {circuit.n_wires}"]
     for inst in circuit.gates:
         wires = " ".join(str(w) for w in inst.wires)
-        if inst.gate.name is not None:
-            lines.append(f"gate {inst.gate.name} {wires}")
+        name = inst.gate.name
+        if name is not None:
+            lines.append(f"gate {name} {wires}")
         else:
             lines.append(f"perm {inst.gate.perm.one_line()} {wires}")
     return "\n".join(lines) + "\n"
 
 
-def _parse_wires(tokens: list[str], lineno: int) -> tuple[int, ...]:
-    if not tokens:
-        raise FileFormatError(lineno, "missing wire list")
-    wires = []
-    for tok in tokens:
-        try:
-            wires.append(int(tok))
-        except ValueError:
-            raise FileFormatError(lineno, f"bad wire index {tok!r}") from None
-    return tuple(wires)
+def _int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"bad {what} {token!r}") from None
 
 
 def parse_circuit(text: str, force: bool = False) -> Circuit:
+    """Inverse of format_circuit.  Permutation, Gate, GateInstance and
+    Circuit check their own rules; the reader checks the file's syntax and
+    raises any error as FileFormatError with the 1-based line number."""
     n_wires = None
     instances: list[GateInstance] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -343,49 +345,33 @@ def parse_circuit(text: str, force: bool = False) -> Circuit:
         if not line:
             continue
         fields = line.split()
-        if n_wires is None:
-            if fields[0] != "qubits" or len(fields) != 2:
-                raise FileFormatError(lineno, "expected header 'qubits <n>'")
-            try:
-                n_wires = int(fields[1])
-            except ValueError:
-                raise FileFormatError(lineno, f"bad wire count {fields[1]!r}") from None
-            try:
-                Circuit(n_wires, force=force)
-            except (DimensionError, CapExceeded) as exc:
-                raise FileFormatError(lineno, str(exc)) from None
-            continue
-        if fields[0] == "gate":
-            if len(fields) < 2:
-                raise FileFormatError(lineno, "missing gate name")
-            name = fields[1]
-            if name not in BUILTIN_GATES:
-                raise FileFormatError(lineno, f"unknown gate {name!r}")
-            gate = BUILTIN_GATES[name]
-            wires = _parse_wires(fields[2:], lineno)
-        elif fields[0] == "perm":
-            close = line.find(")")
-            if "(" not in line or close < 0:
-                raise FileFormatError(lineno, "missing one-line notation after 'perm'")
-            notation = line[line.index("("):close + 1]
-            try:
-                perm = Permutation.from_one_line(notation)
-            except Exception as exc:
-                raise FileFormatError(lineno, str(exc)) from exc
-            if perm.size & (perm.size - 1) or perm.size < 2:
-                raise FileFormatError(
-                    lineno, f"inline gate dimension {perm.size} is not a power of two"
-                )
-            gate = named_gate(perm)
-            wires = _parse_wires(line[close + 1:].split(), lineno)
-        else:
-            raise FileFormatError(lineno, f"unknown directive {fields[0]!r}")
         try:
-            inst = GateInstance(gate, wires)
-        except WiringError as exc:
-            raise FileFormatError(lineno, str(exc)) from exc
-        if any(not 0 <= w < n_wires for w in wires):
-            raise FileFormatError(lineno, f"wire out of range 0..{n_wires - 1}")
+            if n_wires is None:
+                if fields[0] != "qubits" or len(fields) != 2:
+                    raise ValueError("expected header 'qubits <n>'")
+                n_wires = Circuit(_int(fields[1], "wire count"), force=force).n_wires
+                continue
+            if fields[0] == "gate":
+                if len(fields) < 2:
+                    raise ValueError("missing gate name")
+                if fields[1] not in BUILTIN_GATES:
+                    raise ValueError(f"unknown gate {fields[1]!r}")
+                gate, tokens = BUILTIN_GATES[fields[1]], fields[2:]
+            elif fields[0] == "perm":
+                close = line.find(")")
+                if "(" not in line or close < 0:
+                    raise ValueError("missing one-line notation after 'perm'")
+                gate = Gate(Permutation.from_one_line(line[line.index("("):close + 1]))
+                tokens = line[close + 1:].split()
+            else:
+                raise ValueError(f"unknown directive {fields[0]!r}")
+            if not tokens:
+                raise ValueError("missing wire list")
+            inst = GateInstance(gate, tuple(_int(t, "wire index") for t in tokens))
+            if any(not 0 <= w < n_wires for w in inst.wires):
+                raise ValueError(f"wire out of range 0..{n_wires - 1}")
+        except (PermGateError, ValueError) as exc:
+            raise FileFormatError(lineno, str(exc)) from None
         instances.append(inst)
     if n_wires is None:
         raise FileFormatError(1, "expected header 'qubits <n>'")

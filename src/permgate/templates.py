@@ -522,20 +522,17 @@ def parse_store(text: str) -> TemplateStore:
         if not line.startswith("template:"):
             raise FileFormatError(lineno, f"expected 'template:' line, got {raw!r}")
         parts = line[len("template:"):].lstrip().split(";")
-        for part in parts:
-            if part not in seen:
-                try:
-                    perm = Permutation.from_one_line(part.strip())
-                except Exception as exc:
-                    raise FileFormatError(lineno, str(exc)) from exc
-                seen[part] = (store._table.intern(perm)
-                              if perm.size == dimension else None)
-        word = tuple([seen[part] for part in parts])
-        if None in word:
-            raise FileFormatError(lineno, f"gate dimension differs from dim={dimension}")
-        if len(word) < 2:
-            raise FileFormatError(lineno, "template needs at least 2 gates")
         try:
+            for part in parts:
+                if part not in seen:
+                    perm = Permutation.from_one_line(part.strip())
+                    seen[part] = (store._table.intern(perm)
+                                  if perm.size == dimension else None)
+            word = tuple([seen[part] for part in parts])
+            if None in word:
+                raise ValueError(f"gate dimension differs from dim={dimension}")
+            if len(word) < 2:
+                raise ValueError("template needs at least 2 gates")
             store._add_word(word)
         except ValueError as exc:
             raise FileFormatError(lineno, str(exc)) from None

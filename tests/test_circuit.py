@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 
@@ -17,7 +18,6 @@ from permgate.circuit import (
     equivalent,
     format_circuit,
     load_circuit,
-    named_gate,
     optimize,
     parse_circuit,
     save_circuit,
@@ -101,9 +101,9 @@ def circuits_with_identities(draw):
             gate = draw(st.sampled_from([g for g in BUILTIN_GATES.values()
                                          if g.n_qubits == k]))
         elif kind == "inline":
-            gate = named_gate(Permutation(draw(st.permutations(range(2 ** k)))))
+            gate = Gate(Permutation(draw(st.permutations(range(2 ** k)))))
         else:
-            gate = named_gate(Permutation.identity(2 ** k))
+            gate = Gate(Permutation.identity(2 ** k))
         if k == 2 and draw(st.booleans()):
             wires = (0, 1)
         else:
@@ -112,9 +112,29 @@ def circuits_with_identities(draw):
     return Circuit(n_wires, gates)
 
 
+@st.composite
+def round_trip_circuits(draw):
+    """1-4 wires of builtin gates, or Gate of a random 1-3-qubit
+    permutation, a builtin's included."""
+    n_wires = draw(st.integers(1, 4))
+    gates = []
+    for _ in range(draw(st.integers(0, 8))):
+        k = draw(st.integers(1, min(3, n_wires)))
+        builtins = [g for g in BUILTIN_GATES.values() if g.n_qubits == k]
+        if draw(st.booleans()):
+            gate = draw(st.sampled_from(builtins))
+        else:
+            images = draw(st.permutations(range(2 ** k))
+                          | st.sampled_from([g.perm.images for g in builtins]))
+            gate = Gate(Permutation(images))
+        wires = tuple(draw(st.permutations(range(n_wires)))[:k])
+        gates.append(GateInstance(gate, wires))
+    return Circuit(n_wires, gates)
+
+
 def two_wire(*texts):
     """A circuit of 2-qubit gates in one-line notation, all on wires 0 1."""
-    return Circuit(2, [inst(named_gate(Permutation.from_one_line(t)), 0, 1)
+    return Circuit(2, [inst(Gate(Permutation.from_one_line(t)), 0, 1)
                        for t in texts])
 
 
@@ -143,8 +163,13 @@ class TestBuiltins:
             assert g.perm.is_involution()
 
     def test_named_gate_recovers_builtin(self):
-        assert named_gate(Permutation([0, 2, 1, 3])) is SWAP
-        assert named_gate(Permutation([1, 3, 2, 0])).name is None
+        assert Gate(Permutation([0, 2, 1, 3])) == SWAP
+
+    def test_builtin_name_follows_permutation(self):
+        for name, gate in BUILTIN_GATES.items():
+            assert Gate(gate.perm) == gate
+            assert Gate(gate.perm).name == name
+        assert [f.name for f in dataclasses.fields(Gate)] == ["perm"]
 
     def test_gate_dimension_must_be_power_of_two(self):
         with pytest.raises(DimensionError):
@@ -393,6 +418,19 @@ class TestCancelAdjacentInverses:
                         inst(CNOT, 0, 1), inst(SWAP, 0, 1)])
         assert len(cancel_adjacent_inverses(c)) == 0
 
+    def test_builds_no_permutation_product(self, monkeypatch):
+        def refuse(p, q):
+            raise AssertionError("the cancel pass composed two permutations")
+
+        b_inv = Gate(B_GATE.perm.inverse())
+        monkeypatch.setattr(Permutation, "__mul__", refuse)
+        c = Circuit(2, [inst(X, 1), inst(B_GATE, 0, 1), inst(CNOT, 1, 0),
+                        inst(CNOT, 1, 0), inst(b_inv, 0, 1), inst(X, 1),
+                        inst(B_GATE, 0, 1), inst(B_GATE, 0, 1)])
+        out, report = optimize(c)
+        assert out == Circuit(2, [inst(B_GATE, 0, 1), inst(B_GATE, 0, 1)])
+        assert report.cancelled_gates == 6
+
     def test_preserves_semantics(self):
         rng = random.Random(5)
         for _ in range(20):
@@ -469,7 +507,7 @@ class TestTemplateRewrite:
                             "template: (2,4,3,1);(1,4,2,3);(3,4,2,1);(3,4,2,1)\n")
 
         def circuit(*texts):
-            return Circuit(2, [inst(named_gate(Permutation.from_one_line(t)), 0, 1)
+            return Circuit(2, [inst(Gate(Permutation.from_one_line(t)), 0, 1)
                                for t in texts])
 
         c = circuit("(4,3,1,2)", "(1,3,4,2)", "(3,2,4,1)", "(2,4,3,1)",
@@ -580,6 +618,30 @@ class TestCircuitFiles:
         path = tmp_path / "c.circ"
         save_circuit(c, path)
         assert load_circuit(path) == c
+
+    @settings(max_examples=200, deadline=None)
+    @given(round_trip_circuits())
+    def test_round_trip_property(self, c):
+        text = format_circuit(c)
+        parsed = parse_circuit(text)
+        assert parsed == c
+        assert format_circuit(parsed) == text
+
+    def test_name_comes_from_the_permutation(self):
+        # a gate takes no name, so none can disagree with its permutation
+        with pytest.raises(TypeError):
+            Gate(Permutation([0, 1]), "X")
+        with pytest.raises(TypeError):
+            Gate(Permutation([1, 0]), "NOT")
+        ident = Circuit(1, [inst(Gate(Permutation([0, 1])), 0)])
+        assert format_circuit(ident) == "qubits 1\ngate I 0\n"
+        # an X built from its permutation round-trips to an equal circuit
+        x = Circuit(1, [inst(Gate(Permutation([1, 0])), 0)])
+        assert format_circuit(x) == "qubits 1\ngate X 0\n"
+        assert parse_circuit(format_circuit(x)) == x
+        assert parse_circuit("qubits 1\nperm (2,1) 0\n") == x
+        assert Gate(Permutation([0, 2, 1, 3])).name == "SWAP"
+        assert Gate(Permutation([1, 3, 2, 0])).name is None
 
     def test_format_text(self):
         c = Circuit(2, [inst(CNOT, 0, 1), inst(B_GATE, 1, 0)])

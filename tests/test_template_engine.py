@@ -27,10 +27,10 @@ from permgate.circuit import (
     BUILTIN_GATES,
     DEFAULT_REWRITE_BUDGET,
     Circuit,
+    Gate,
     GateInstance,
     OptimizeReport,
     cancel_adjacent_inverses,
-    named_gate,
     optimize,
 )
 from permgate.errors import FileFormatError
@@ -166,7 +166,7 @@ def ref_find_rewrite(circuit, templates, dimension):
                             continue
                         rest = cyclic[offset + p:offset + m]
                         rest = rest if reverse else [g.inverse() for g in reversed(rest)]
-                        return start, p, [GateInstance(named_gate(g), wires)
+                        return start, p, [GateInstance(Gate(g), wires)
                                           for g in rest]
     return None
 
@@ -254,7 +254,7 @@ def circuits(draw, pool):
     for _ in range(draw(st.integers(0, 5))):
         wires = tuple(draw(st.permutations(range(3)))[:2])
         for perm in draw(st.lists(gate, min_size=1, max_size=6)):
-            gates.append(GateInstance(named_gate(perm), wires))
+            gates.append(GateInstance(Gate(perm), wires))
         if draw(st.booleans()):
             gates.append(GateInstance(BUILTIN_GATES["X"], (draw(st.integers(0, 2)),)))
     return Circuit(3, gates)
@@ -370,7 +370,7 @@ def test_store_shared_across_threads():
             "template: (2,4,3,1);(1,4,2,3);(3,4,2,1);(3,4,2,1)\n"
             "template: (2,1,3,4);(2,1,3,4)\n")
     rng = random.Random(7)
-    circuits = [Circuit(2, [GateInstance(named_gate(rng.choice(S4)), (0, 1))
+    circuits = [Circuit(2, [GateInstance(Gate(rng.choice(S4)), (0, 1))
                             for _ in range(12)]) for _ in range(16)]
     expected = [optimize(c, parse_store(text)) for c in circuits]
     interval = sys.getswitchinterval()
@@ -393,7 +393,7 @@ def test_optimize_builds_one_circuit_per_call(blocks, monkeypatch):
     # each block's B, B rewrites to one gate, and X on wire 2 keeps the
     # blocks apart: `blocks` rewrites in all
     store = generate_templates(GateLibrary.symmetric_group(4), 3)
-    b = named_gate(Permutation.from_one_line("(4,1,3,2)"))
+    b = Gate(Permutation.from_one_line("(4,1,3,2)"))
     block = [GateInstance(b, (0, 1)), GateInstance(b, (0, 1)),
              GateInstance(BUILTIN_GATES["X"], (2,))]
     circuit = Circuit(3, block * blocks)
