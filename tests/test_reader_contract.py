@@ -25,10 +25,6 @@ from permgate.templates import parse_store
 FILLER = ["", "   ", "# a comment", "  # indented comment"]
 
 
-def notation(images) -> str:
-    return Permutation(images).one_line()
-
-
 @st.composite
 def circuit_line(draw, n_wires):
     """(line, good) for one body line of an n-wire circuit."""
@@ -39,8 +35,8 @@ def circuit_line(draw, n_wires):
             names = [n for n, g in BUILTIN_GATES.items() if g.n_qubits == k]
             line = f"gate {draw(st.sampled_from(names))} {wires}"
         else:
-            perm = notation(draw(st.permutations(range(2 ** k))))
-            line = f"perm {perm} {wires}"
+            perm = Permutation(draw(st.permutations(range(2 ** k))))
+            line = f"perm {perm.one_line()} {wires}"
         comment = draw(st.sampled_from(["", "  # note", " #(2,1) 0)"]))
         return line + comment, True
     bad = draw(st.sampled_from([
@@ -163,12 +159,12 @@ def test_parse_store_names_the_first_bad_line(case):
 def test_cli_refuses_a_bad_file_in_one_line(circuit_case, store_case):
     (circuit_text, circuit_bad), (store_text, store_bad) = circuit_case, store_case
     with tempfile.TemporaryDirectory() as tmp:
-        circ, store, good = (Path(tmp) / name for name in ("c.circ", "s.tmpl",
-                                                           "good.circ"))
+        circ, store = Path(tmp, "c.circ"), Path(tmp, "s.tmpl")
+        good = Path(tmp, "good.circ")
         circ.write_text(circuit_text)
         store.write_text(store_text)
         good.write_text("qubits 2\ngate CNOT 0 1\n")
-        out = str(Path(tmp) / "out.circ")
+        out = str(Path(tmp, "out.circ"))
         if circuit_bad is not None:
             assert_cli_refuses(["optimize", "--circuit", str(circ), "--out", out],
                                1, circuit_bad)
