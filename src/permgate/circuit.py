@@ -5,9 +5,12 @@ Wire w is bit w of the 2**n basis index (wire 0 = least significant).  In
 an instance's wire list the first wire carries the gate's most significant
 index bit, so `gate CNOT c t` has its control first and `CNOT` itself is
 the permutation (1,2,4,3).  Semantics are bitsliced, one Python int per
-wire over all 2**n basis indices: circuit_permutation transposes those ints
-to images, and equivalent XORs two circuits' ints for the first differing
-index.  No circuit code needs numpy.
+wire over all 2**n basis indices.  Each distinct gate permutation is
+compiled, once per call, into the algebraic normal form of how it changes
+each of its bits (XORs of ANDs of its input bits), and each gate instance
+XORs those few terms of its wires' old ints into the wires it changes.
+circuit_permutation transposes the ints to images, and equivalent XORs two
+circuits' ints for the first differing index.  No circuit code needs numpy.
 
 Rewriting never widens a circuit: identity gates and adjacent
 mutually-inverse pairs on the same wires are deleted, and any window
@@ -137,28 +140,66 @@ class Circuit:
         return f"Circuit(n_wires={self.n_wires}, gates={len(self.gates)})"
 
 
-def _wire_ints(circuit: Circuit) -> list[int]:
-    """Bit s of wire w's int is bit w of the image of basis index s.  A k-wire
-    gate cuts the indices into 2**k parts by local value (first wire = top
-    bit) and sets each of its wires to the parts whose image has its bit."""
+def _anf_plan(images) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """How a gate on k local bits changes them, as XORs of ANDs of its
+    input bits: the algebraic normal form of x ^ images[x].
+
+    Each entry (first, rest, outputs) is one monomial, the AND of input
+    bits `first` and `rest` (`first` is k for the constant monomial 1),
+    which every bit in `outputs` XORs in.  The monomials come from the
+    Moebius transform over GF(2) of the truth table, run on all output bits
+    of each x at once; an identity has no entries.
+    """
+    size = len(images)
+    k = size.bit_length() - 1
+    table = [x ^ y for x, y in enumerate(images)]
+    bits = [()]  # bits[m] lists the set bits of m, ascending
+    for j in range(k):
+        h = 1 << j
+        for x in range(size):
+            if x & h:
+                table[x] ^= table[x - h]
+        bits += [b + (j,) for b in bits]
+    return [(bits[m][0] if m else k, bits[m][1:], bits[v])
+            for m, v in enumerate(table) if v]
+
+
+def _wire_ints(circuit: Circuit, plans: dict) -> list[int]:
+    """Bit s of wire w's int is bit w of the image of basis index s.
+
+    Each distinct gate permutation is compiled once into its _anf_plan,
+    memoised in `plans` by its images; callers pass a new dict per call.
+    A gate instance reads its wires' old ints (its first wire is the top
+    local bit) and XORs each monomial of those into the wires it changes:
+    X is one XOR with the all-ones int, CNOT one XOR, TOFFOLI one AND and
+    one XOR.
+    """
     size = 2 ** circuit.n_wires
     # a base-2 int() is linear in the length; a division form is quadratic
     wires = [int(("1" * 2 ** w + "0" * 2 ** w) * (size >> w + 1), 2)
              for w in range(circuit.n_wires)]
+    ones = (1 << size) - 1
     for inst in circuit.gates:
-        parts = [(1 << size) - 1]
-        for w in inst.wires:
-            parts = [q for p in parts for q in (p & ~wires[w], p & wires[w])]
         images = inst.gate.perm.images
-        for t, w in enumerate(reversed(inst.wires)):
-            wires[w] = sum(p for p, i in zip(parts, images) if i >> t & 1)
+        plan = plans.get(images)
+        if plan is None:
+            plan = plans[images] = _anf_plan(images)
+        at = inst.wires[::-1]  # local bit j is on wire at[j]
+        old = [wires[w] for w in at]
+        old.append(ones)  # the constant monomial's factor
+        for first, rest, outputs in plan:
+            term = old[first]
+            for j in rest:
+                term &= old[j]
+            for t in outputs:
+                wires[at[t]] ^= term
     return wires
 
 
 def circuit_permutation(circuit: Circuit) -> Permutation:
     """The circuit's denotation on 2**n basis indices, leftmost gate first:
     each lane of eight wire ints gives one byte of each 64-bit image."""
-    wires, size = _wire_ints(circuit), 2 ** circuit.n_wires
+    wires, size = _wire_ints(circuit, {}), 2 ** circuit.n_wires
     field = bytearray(8 * size)
     for lane in range(0, len(wires), 8):
         byte = sum(int.from_bytes(f"{x:b}".encode().translate(_SPREAD), "big") << j
@@ -174,7 +215,9 @@ def equivalent(a: Circuit, b: Circuit) -> int | None:
         raise DimensionError(
             f"wire counts differ ({a.n_wires} vs {b.n_wires})"
         )
-    diff = reduce(int.__or__, map(int.__xor__, _wire_ints(a), _wire_ints(b)))
+    plans: dict = {}  # shared by both circuits, dropped after this call
+    diff = reduce(int.__or__, map(int.__xor__, _wire_ints(a, plans),
+                                  _wire_ints(b, plans)))
     return (diff & -diff).bit_length() - 1 if diff else None
 
 
@@ -340,6 +383,8 @@ def parse_circuit(text: str, force: bool = False) -> Circuit:
     raises any error as FileFormatError with the 1-based line number."""
     n_wires = None
     instances: list[GateInstance] = []
+    # one-line notation text -> its gate, parsed (and checked) on first sight
+    inline: dict[str, Gate] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -361,7 +406,10 @@ def parse_circuit(text: str, force: bool = False) -> Circuit:
                 close = line.find(")")
                 if "(" not in line or close < 0:
                     raise ValueError("missing one-line notation after 'perm'")
-                gate = Gate(Permutation.from_one_line(line[line.index("("):close + 1]))
+                notation = line[line.index("("):close + 1]
+                gate = inline.get(notation)
+                if gate is None:
+                    gate = inline[notation] = Gate(Permutation.from_one_line(notation))
                 tokens = line[close + 1:].split()
             else:
                 raise ValueError(f"unknown directive {fields[0]!r}")

@@ -30,9 +30,12 @@ class _Row(dict):
         self._a = a
 
     def __missing__(self, b: int) -> int:
-        images = self._table.images
-        c = self._table.intern_images(tuple(map(images[self._a].__getitem__,
-                                                images[b])))
+        table = self._table
+        images = table.images
+        product = tuple(map(images[self._a].__getitem__, images[b]))
+        c = table._index.get(product)  # a hit calls no other Python function
+        if c is None:
+            c = table.intern_images(product)
         self[b] = c
         return c
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permgate import circuit as circuit_module
 from permgate.circuit import (
     BUILTIN_GATES,
     Circuit,
@@ -130,6 +131,57 @@ def round_trip_circuits(draw):
         wires = tuple(draw(st.permutations(range(n_wires)))[:k])
         gates.append(GateInstance(gate, wires))
     return Circuit(n_wires, gates)
+
+
+def mixed_gate(draw, n_wires: int) -> Gate:
+    """A 1-4-qubit gate that fits n_wires: a builtin (I included), an
+    identity, or an inline permutation."""
+    k = draw(st.integers(1, min(4, n_wires)))
+    builtins = [g for g in BUILTIN_GATES.values() if g.n_qubits == k]
+    kind = draw(st.sampled_from(["builtin", "identity", "inline"]))
+    if kind == "builtin" and builtins:
+        return draw(st.sampled_from(builtins))
+    if kind == "identity":
+        return Gate(Permutation.identity(2 ** k))
+    return Gate(Permutation(draw(st.permutations(range(2 ** k)))))
+
+
+@st.composite
+def mixed_circuit_pairs(draw):
+    """(a, b) on 1-7 wires.  a mixes mixed_gate with repeats of its earlier
+    gates, on the same or other wires; b is a with one gate replaced, a
+    with an inverse pair inserted (equivalent), or another such circuit."""
+    n_wires = draw(st.integers(1, 7))
+
+    def wires(k):
+        return tuple(draw(st.permutations(range(n_wires)))[:k])
+
+    def gates():
+        out = []
+        for _ in range(draw(st.integers(0, 10))):
+            if out and draw(st.booleans()):
+                gate = draw(st.sampled_from(out)).gate
+            else:
+                gate = mixed_gate(draw, n_wires)
+            out.append(GateInstance(gate, wires(gate.n_qubits)))
+        return out
+
+    a = gates()
+    kind = draw(st.sampled_from(["replace", "pair", "other"]))
+    if kind == "replace" and a:
+        b = list(a)
+        pos = draw(st.integers(0, len(b) - 1))
+        gate = mixed_gate(draw, n_wires)
+        b[pos] = GateInstance(gate, wires(gate.n_qubits))
+    elif kind == "pair":
+        gate = mixed_gate(draw, n_wires)
+        on = wires(gate.n_qubits)
+        pos = draw(st.integers(0, len(a)))
+        b = a[:pos] + [GateInstance(gate, on),
+                       GateInstance(Gate(gate.perm.inverse()), on)] + a[pos:]
+    else:
+        b = gates()
+    return Circuit(n_wires, a), Circuit(n_wires, b)
 
 
 def two_wire(*texts):
@@ -383,6 +435,67 @@ class TestPastTheCap:
         assert equivalent(a, b) == expected
         assert equivalent(b, a) == expected
         assert equivalent(a, a) is None
+
+
+class TestCompiledGates:
+    """The semantics apply each gate as XORs of ANDs of its wires' ints,
+    compiled once per distinct permutation within one call."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(pair=mixed_circuit_pairs())
+    def test_every_index_against_propagation(self, pair):
+        a, b = pair
+        images_a = [propagate(a, x) for x in range(2 ** a.n_wires)]
+        images_b = [propagate(b, x) for x in range(2 ** b.n_wires)]
+        assert circuit_permutation(a).images == tuple(images_a)
+        assert circuit_permutation(b).images == tuple(images_b)
+        expected = next((x for x, (i, j) in enumerate(zip(images_a, images_b))
+                         if i != j), None)
+        assert equivalent(a, b) == expected
+        assert equivalent(b, a) == expected
+
+    def test_forced_13_wires_with_a_5_qubit_gate(self):
+        rng = random.Random(13)
+        images = list(range(32))
+        rng.shuffle(images)
+        wide = Gate(Permutation(images))
+        a = random_circuit(rng, 13, 12, force=True)
+        a = Circuit(13, a.gates[:6] + (inst(wide, 12, 3, 0, 7, 9),)
+                    + a.gates[6:], force=True)
+        # the inverse of the wide gate, on other wires, after the rest
+        b = Circuit(13, a.gates + (inst(Gate(wide.perm.inverse()),
+                                        1, 11, 5, 0, 8),), force=True)
+        images_a = [propagate(a, x) for x in range(2 ** 13)]
+        images_b = [propagate(b, x) for x in range(2 ** 13)]
+        assert circuit_permutation(a).images == tuple(images_a)
+        expected = next(x for x, (i, j) in enumerate(zip(images_a, images_b))
+                        if i != j)
+        assert equivalent(a, b) == expected
+        assert equivalent(b, a) == expected
+        assert equivalent(a, a) is None
+
+    def test_each_permutation_compiles_once_per_call(self, monkeypatch):
+        compiled = []
+        compile_plan = circuit_module._anf_plan
+
+        def counting(images):
+            compiled.append(images)
+            return compile_plan(images)
+
+        monkeypatch.setattr(circuit_module, "_anf_plan", counting)
+        rng = random.Random(41)
+        a = random_circuit(rng, 6, 40)
+        # b repeats a's gates as new Gate objects and adds gates of its own
+        b = Circuit(6, [inst(Gate(gi.gate.perm), *gi.wires) for gi in a.gates]
+                    + list(random_circuit(rng, 6, 20).gates))
+        distinct = {gi.gate.perm.images for gi in a.gates + b.gates}
+        assert len(distinct) < len(a) + len(b)  # the count is not trivial
+        equivalent(a, b)
+        first = sorted(compiled)
+        assert first == sorted(distinct)
+        compiled.clear()
+        equivalent(a, b)  # no plan outlived the first call
+        assert sorted(compiled) == first
 
 
 class TestCancelAdjacentInverses:
