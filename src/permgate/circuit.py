@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import (DimensionError, FileFormatError, PermGateError, WiringError,
-                     _read_ascii, check_cap)
+                     _int, _read_ascii, check_cap)
 from .perm import Permutation
 from .templates import TemplateStore, _RewriteScan
 
@@ -120,13 +120,16 @@ class Circuit:
         if n_wires >= sys.maxsize.bit_length():  # even under force
             raise DimensionError(f"{n_wires} wires are too many: the 2^n "
                                  f"basis indices must stay below sys.maxsize")
-        gates = tuple(gates)
-        for inst in gates:
-            bad = [w for w in inst.wires if not 0 <= w < n_wires]
-            if bad:
-                raise WiringError(f"wire {bad[0]} out of range 0..{n_wires - 1}")
         self.n_wires = n_wires
-        self.gates = gates
+        self.gates = tuple(gates)
+        for inst in self.gates:
+            self._check_wires(inst.wires)
+
+    def _check_wires(self, wires) -> None:
+        """Refuse a wire outside 0..n_wires-1; the reader calls it per line."""
+        for w in wires:
+            if not 0 <= w < self.n_wires:
+                raise WiringError(f"wire {w} out of range 0..{self.n_wires - 1}")
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -324,6 +327,8 @@ def optimize(
     budget: int = DEFAULT_REWRITE_BUDGET,
 ) -> tuple[Circuit, OptimizeReport]:
     """Alternate inverse cancellation and template rewriting to fixpoint."""
+    if budget < 0:
+        raise ValueError(f"negative rewrite budget {budget}")
     gates = circuit.gates
     cancelled = 0
     rewrites = 0
@@ -370,18 +375,12 @@ def format_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _int(token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"bad {what} {token!r}") from None
-
-
 def parse_circuit(text: str, force: bool = False) -> Circuit:
-    """Inverse of format_circuit.  Permutation, Gate, GateInstance and
-    Circuit check their own rules; the reader checks the file's syntax and
-    raises any error as FileFormatError with the 1-based line number."""
-    n_wires = None
+    """Inverse of format_circuit.  The types check their own rules (wire
+    range and arity included); the reader checks only syntax, integers as
+    errors._int reads them, and raises any error as FileFormatError naming
+    the 1-based line, lines as str.splitlines splits them."""
+    header = None  # the empty circuit of the 'qubits' line
     instances: list[GateInstance] = []
     # one-line notation text -> its gate, parsed (and checked) on first sight
     inline: dict[str, Gate] = {}
@@ -391,10 +390,10 @@ def parse_circuit(text: str, force: bool = False) -> Circuit:
             continue
         fields = line.split()
         try:
-            if n_wires is None:
+            if header is None:
                 if fields[0] != "qubits" or len(fields) != 2:
                     raise ValueError("expected header 'qubits <n>'")
-                n_wires = Circuit(_int(fields[1], "wire count"), force=force).n_wires
+                header = Circuit(_int(fields[1], "wire count"), force=force)
                 continue
             if fields[0] == "gate":
                 if len(fields) < 2:
@@ -413,17 +412,14 @@ def parse_circuit(text: str, force: bool = False) -> Circuit:
                 tokens = line[close + 1:].split()
             else:
                 raise ValueError(f"unknown directive {fields[0]!r}")
-            if not tokens:
-                raise ValueError("missing wire list")
             inst = GateInstance(gate, tuple(_int(t, "wire index") for t in tokens))
-            if any(not 0 <= w < n_wires for w in inst.wires):
-                raise ValueError(f"wire out of range 0..{n_wires - 1}")
+            header._check_wires(inst.wires)
         except (PermGateError, ValueError) as exc:
             raise FileFormatError(lineno, str(exc)) from None
         instances.append(inst)
-    if n_wires is None:
+    if header is None:
         raise FileFormatError(1, "expected header 'qubits <n>'")
-    return Circuit(n_wires, instances, force=force)
+    return Circuit(header.n_wires, instances, force=force)
 
 
 def save_circuit(circuit: Circuit, path) -> None:

@@ -5,7 +5,7 @@ in particular) can distinguish domain failures from bugs.  Every size cap
 (enumeration, multiplication table, census, wires) is refused by check_cap,
 the one place that raises CapExceeded, so every refusal has one shape.
 Input files are read through _read_ascii, so an encoding fault is a
-FileFormatError too.
+FileFormatError too; _int reads each header and wire-list integer token.
 """
 
 
@@ -53,14 +53,23 @@ class FileFormatError(PermGateError, ValueError):
         self.line = line
 
 
+def _int(token: str, what: str) -> int:
+    """A file's integer token: ASCII digits only, the rule one-line notation
+    has, so signs, '_', '0x' and other scripts' digits are ValueError."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"bad {what} {token!r}")
+    return int(token)
+
+
 def _read_ascii(path) -> str:
     """The text of an ASCII circuit or template file; a non-ASCII byte is a
-    FileFormatError naming the byte's 1-based line."""
+    FileFormatError naming its line as str.splitlines, like the readers."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # the bytes before the first bad one are ASCII; "." stands for it
+        line = len((data[:exc.start].decode("ascii") + ".").splitlines())
         raise FileFormatError(
             line, f"non-ASCII byte 0x{data[exc.start]:02x}") from None

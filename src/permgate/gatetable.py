@@ -50,11 +50,7 @@ class _Inverses(dict):
         self._table = table
 
     def __missing__(self, a: int) -> int:
-        images = self._table.images[a]
-        back = [0] * len(images)
-        for j, img in enumerate(images):
-            back[img] = j
-        b = self._table.intern_images(tuple(back))
+        b = self._table.intern(self._table.perms[a].inverse())
         self[a] = b
         self[b] = a
         return b

@@ -44,7 +44,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import (ClosureError, DimensionError, FileFormatError,
-                     _read_ascii, check_cap)
+                     _int, _read_ascii, check_cap)
 from .gatetable import GateTable
 from .perm import Permutation, _product, enumerate_permutations
 
@@ -496,22 +496,21 @@ def format_store(store: TemplateStore) -> str:
 def parse_store(text: str) -> TemplateStore:
     """Inverse of format_store; every line must verify to identity.
 
-    Each distinct gate text is parsed (and validated) once and interned in
-    the store's gate table; every line is then verified and deduplicated
-    as an index word.  Raises FileFormatError with the 1-based line number
-    on any malformed or non-identity line.
+    The header's M is read by errors._int.  Each distinct gate text is
+    parsed (and validated) once and interned in the store's gate table;
+    every line is then verified and deduplicated as an index word.  Raises
+    FileFormatError with the 1-based line number (lines as str.splitlines
+    splits them) on any malformed or non-identity line.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("templates dim="):
         raise FileFormatError(1, "expected header 'templates dim=<M>'")
     try:
-        dimension = int(lines[0].split("=", 1)[1])
-    except ValueError:
-        raise FileFormatError(1, f"bad dimension in header {lines[0]!r}") from None
-    try:
-        store = TemplateStore(dimension)
+        store = TemplateStore(_int(lines[0].split("=", 1)[1].strip(), "dimension"))
     except DimensionError as exc:
         raise FileFormatError(1, str(exc)) from None
+    except ValueError:
+        raise FileFormatError(1, f"bad dimension in header {lines[0]!r}") from None
     # gate text as split, spaces included -> table index, or None for a gate
     # of another dimension; each text is stripped and parsed on first sight
     seen: dict[str, int | None] = {}
@@ -527,10 +526,10 @@ def parse_store(text: str) -> TemplateStore:
                 if part not in seen:
                     perm = Permutation.from_one_line(part.strip())
                     seen[part] = (store._table.intern(perm)
-                                  if perm.size == dimension else None)
+                                  if perm.size == store.dimension else None)
             word = tuple([seen[part] for part in parts])
             if None in word:
-                raise ValueError(f"gate dimension differs from dim={dimension}")
+                raise ValueError(f"gate dimension differs from dim={store.dimension}")
             if len(word) < 2:
                 raise ValueError("template needs at least 2 gates")
             store._add_word(word)

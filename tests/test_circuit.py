@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import sys
 
 import numpy as np
@@ -240,7 +241,8 @@ class TestInstanceAndCircuit:
             GateInstance(CNOT, (1, 1))
 
     def test_wire_out_of_range(self):
-        with pytest.raises(WiringError):
+        # the file reader gives the same message, with the line number
+        with pytest.raises(WiringError, match=r"^wire 5 out of range 0\.\.1$"):
             Circuit(2, [inst(X, 5)])
 
     def test_wire_cap(self):
@@ -678,6 +680,17 @@ class TestOptimize:
         assert len(out) == 0
         assert report.removed == 2
 
+    @pytest.mark.parametrize("with_store", [True, False])
+    def test_negative_budget_refused_like_template_rewrite(self, s4_store,
+                                                           with_store):
+        c = Circuit(2, [inst(CNOT, 0, 1), inst(CNOT, 0, 1)])
+        store = s4_store if with_store else None
+        with pytest.raises(ValueError, match=r"^negative rewrite budget -3$"):
+            optimize(c, store, budget=-3)
+        with pytest.raises(ValueError, match=r"^negative rewrite budget -3$"):
+            template_rewrite(c, s4_store, budget=-3)
+        assert optimize(c, store, budget=0)[0] == Circuit(2)
+
     def test_identity_gate_deleted(self):
         c = parse_circuit("qubits 1\ngate I 0\n")
         out, report = optimize(c)
@@ -795,8 +808,27 @@ class TestCircuitFiles:
             parse_circuit("qubits 2\ngate CNOT 0\n")
 
     def test_wire_out_of_range(self):
-        with pytest.raises(FileFormatError, match="line 3"):
+        with pytest.raises(FileFormatError,
+                           match=r"^line 3: wire 2 out of range 0\.\.1$"):
             parse_circuit("qubits 2\ngate X 0\ngate X 2\n")
+
+    @pytest.mark.parametrize("line", ["gate X", "perm (2,1)", "perm (2,1) # 0"])
+    def test_empty_wire_list_gets_the_arity_message(self, line):
+        with pytest.raises(FileFormatError,
+                           match=r"^line 2: gate X needs 1 wires, got 0$"):
+            parse_circuit(f"qubits 2\n{line}\n")
+
+    @pytest.mark.parametrize("token", ["1_0", "+1", "-1", "0x1", "\u0661"])
+    def test_wire_index_is_ascii_digits(self, token):
+        with pytest.raises(FileFormatError,
+                           match=rf"^line 2: bad wire index {re.escape(repr(token))}$"):
+            parse_circuit(f"qubits 11\ngate X {token}\n")
+
+    @pytest.mark.parametrize("token", ["1_2", "+2", "-2", "0x2", "\u0662"])
+    def test_wire_count_is_ascii_digits(self, token):
+        with pytest.raises(FileFormatError,
+                           match=rf"^line 1: bad wire count {re.escape(repr(token))}$"):
+            parse_circuit(f"qubits {token}\n")
 
     def test_repeated_wire(self):
         with pytest.raises(FileFormatError, match="line 2"):

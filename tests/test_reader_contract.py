@@ -5,7 +5,9 @@ corruptions, each line tagged good or bad by construction.  parse_circuit
 and parse_store must return when every line is good, and otherwise raise
 FileFormatError naming the first bad line; nothing else may escape.  The
 same files through the CLI must give exit 1 (2 for verify), empty stdout,
-one `error: line N: ` stderr line and no traceback.
+one `error: line N: ` stderr line and no traceback.  Lines are joined by
+any of the breaks str.splitlines knows, and a non-ASCII byte on a line is
+refused under the number the readers give that line.
 """
 
 import contextlib
@@ -20,14 +22,16 @@ from permgate.circuit import BUILTIN_GATES, parse_circuit
 from permgate.cli import main
 from permgate.errors import FileFormatError
 from permgate.perm import Permutation
-from permgate.templates import parse_store
+from permgate.templates import format_store, parse_store
 
 FILLER = ["", "   ", "# a comment", "  # indented comment"]
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c"]  # one line break each
 
 
 @st.composite
-def circuit_line(draw, n_wires):
-    """(line, good) for one body line of an n-wire circuit."""
+def circuit_line(draw, n_wires, unicode):
+    """(line, good) for one body line of an n-wire circuit; non-ASCII lines
+    only when `unicode` is set."""
     if draw(st.booleans()):
         k = draw(st.integers(1, min(3, n_wires)))
         wires = " ".join(map(str, draw(st.permutations(range(n_wires)))[:k]))
@@ -42,6 +46,7 @@ def circuit_line(draw, n_wires):
     bad = draw(st.sampled_from([
         "gate", "gate X", "perm", "perm (2,1)", "perm 2,1 0",  # missing tokens
         "gate X zero", "gate X 0.5", "perm (2,1) w0",  # bad wire tokens
+        "gate X 1_0", "gate X +1", "gate X 0x1", "perm (2,1) +0",  # not digits
         f"gate X {n_wires}", "gate X -1",  # wires out of range
         "gate CNOT 0 0", "perm (1,2,4,3) 1 1",  # repeated wires
         "qubits 2",  # a second header
@@ -49,25 +54,25 @@ def circuit_line(draw, n_wires):
         "perm (2,1) 0 1", "gate TOFFOLI 0",  # wrong dimension for the wires
         "perm (1,1) 0", "perm (3,1) 0", "perm (2,x) 0", "perm () 0",  # notation
         "gate NOT 0", "apply X 0",  # unknown gate or directive
-    ]))
+    ] + ["gate X \u0661", "perm (2,1) \u0660"] * unicode))  # Arabic-Indic 1, 0
     return bad, False
 
 
 @st.composite
-def circuit_texts(draw):
-    """(text, first bad line number or None)."""
+def circuit_texts(draw, unicode=False):
+    """(text, first bad line number or None); lines end in '\\n'."""
     n_wires = draw(st.integers(1, 4))
     tagged = [(line, True) for line in draw(st.lists(st.sampled_from(FILLER),
                                                      max_size=2))]
     header = draw(st.sampled_from([f"qubits {n_wires}"] * 4 + [
         "qubits", "qubits x", "qubits 0", "qubits 13", f"qubits {n_wires} 1",
-        "gate X 0"]))
+        "gate X 0", "qubits 1_2", "qubits +2"]))
     tagged.append((header, header == f"qubits {n_wires}"))
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.integers(0, 3)) == 0:
             tagged.append((draw(st.sampled_from(FILLER)), True))
         else:
-            tagged.append(draw(circuit_line(n_wires)))
+            tagged.append(draw(circuit_line(n_wires, unicode)))
     return "\n".join(line for line, _ in tagged) + "\n", first_bad(tagged)
 
 
@@ -99,10 +104,11 @@ def store_line(draw):
 
 @st.composite
 def store_texts(draw):
-    """(text, first bad line number or None); the header is line 1."""
+    """(text, first bad line number or None); the header is line 1, and
+    lines end in '\\n'."""
     header = draw(st.sampled_from(["templates dim=4"] * 4 + [
         "templates dim=x", "templates dim=", "templates dim=0", "template dim=4",
-        "# templates dim=4"]))
+        "# templates dim=4", "templates dim=0_4", "templates dim=+4"]))
     tagged = [(header, header == "templates dim=4")]
     for _ in range(draw(st.integers(0, 5))):
         if draw(st.integers(0, 3)) == 0:
@@ -116,15 +122,18 @@ def first_bad(tagged):
     return next((i for i, (_, good) in enumerate(tagged, 1) if not good), None)
 
 
-def assert_reader_contract(parse, text, bad):
+def assert_reader_contract(parse, text, bad, newline):
+    """parse, on `text` with each line ended by `newline`, raises
+    FileFormatError at line `bad`, or returns when bad is None."""
     try:
-        parse(text)
+        got = parse(text.replace("\n", newline))
     except FileFormatError as exc:
         assert bad is not None, (text, str(exc))
         assert str(exc).startswith(f"line {bad}: "), (text, str(exc))
         assert exc.line == bad
     else:
         assert bad is None, text
+        return got
 
 
 def run_cli(*argv):
@@ -140,42 +149,101 @@ def assert_cli_refuses(argv, code, bad):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: line {bad}: "), err
+    return err
 
 
 @settings(max_examples=300, deadline=None)
-@given(circuit_texts())
-def test_parse_circuit_names_the_first_bad_line(case):
-    assert_reader_contract(parse_circuit, *case)
+@given(circuit_texts(unicode=True), st.sampled_from(BREAKS))
+def test_parse_circuit_names_the_first_bad_line(case, newline):
+    got = assert_reader_contract(parse_circuit, *case, newline)
+    if case[1] is None:  # every line break reads as the '\n' twin does
+        assert got == parse_circuit(case[0])
 
 
 @settings(max_examples=300, deadline=None)
-@given(store_texts())
-def test_parse_store_names_the_first_bad_line(case):
-    assert_reader_contract(parse_store, *case)
+@given(store_texts(), st.sampled_from(BREAKS))
+def test_parse_store_names_the_first_bad_line(case, newline):
+    got = assert_reader_contract(parse_store, *case, newline)
+    if case[1] is None:
+        twin = parse_store(case[0])
+        assert got.templates == twin.templates
+        assert format_store(got) == format_store(twin)
+
+
+def cli_cases(tmp, circuit_case, store_case):
+    """(case, its file, [(argv, exit code)]) for a circuit file under
+    optimize and verify and a store file under optimize, each beside a
+    good circuit file."""
+    circ, store = Path(tmp, "c.circ"), Path(tmp, "s.tmpl")
+    good = Path(tmp, "good.circ")
+    good.write_text("qubits 2\ngate CNOT 0 1\n")
+    out = str(Path(tmp, "out.circ"))
+    return [
+        (circuit_case, circ, [
+            (["optimize", "--circuit", str(circ), "--out", out], 1),
+            (["verify", "--circuit", str(good), "--circuit", str(circ)], 2)]),
+        (store_case, store, [
+            (["optimize", "--circuit", str(good), "--templates", str(store),
+              "--out", out], 1)]),
+    ]
 
 
 @settings(max_examples=40, deadline=None)
-@given(circuit_texts(), store_texts())
-def test_cli_refuses_a_bad_file_in_one_line(circuit_case, store_case):
-    (circuit_text, circuit_bad), (store_text, store_bad) = circuit_case, store_case
+@given(circuit_texts(), store_texts(), st.sampled_from(BREAKS))
+def test_cli_refuses_a_bad_file_in_one_line(circuit_case, store_case, newline):
     with tempfile.TemporaryDirectory() as tmp:
-        circ, store = Path(tmp, "c.circ"), Path(tmp, "s.tmpl")
-        good = Path(tmp, "good.circ")
-        circ.write_text(circuit_text)
-        store.write_text(store_text)
-        good.write_text("qubits 2\ngate CNOT 0 1\n")
-        out = str(Path(tmp, "out.circ"))
-        if circuit_bad is not None:
-            assert_cli_refuses(["optimize", "--circuit", str(circ), "--out", out],
-                               1, circuit_bad)
-            assert_cli_refuses(["verify", "--circuit", str(good), "--circuit",
-                                str(circ)], 2, circuit_bad)
-        else:
-            assert run_cli("verify", "--circuit", str(circ), "--circuit",
-                           str(circ))[:2] == (0, "EQUIVALENT\n")
-        if store_bad is not None:
-            assert_cli_refuses(["optimize", "--circuit", str(good), "--templates",
-                                str(store), "--out", out], 1, store_bad)
-        else:
-            assert run_cli("optimize", "--circuit", str(good), "--templates",
-                           str(store), "--out", out)[0] == 0
+        for (text, bad), path, runs in cli_cases(tmp, circuit_case, store_case):
+            path.write_bytes(text.replace("\n", newline).encode("ascii"))
+            for argv, code in runs:
+                if bad is not None:
+                    assert_cli_refuses(argv, code, bad)
+                elif argv[0] == "optimize":  # verify beside a 2-wire file may
+                    assert run_cli(*argv)[0] == 0  # refuse the wire count
+        if circuit_case[1] is None:
+            circ = str(Path(tmp, "c.circ"))
+            assert run_cli("verify", "--circuit", circ, "--circuit",
+                           circ)[:2] == (0, "EQUIVALENT\n")
+
+
+# a line each reader refuses wherever the lines before it are good
+MARKERS = {"c.circ": "apply X 0", "s.tmpl": "(2,1,3,4);(2,1,3,4)"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(circuit_texts(), store_texts(), st.sampled_from(BREAKS), st.data())
+def test_cli_refuses_a_non_ascii_byte_at_the_readers_line(
+        circuit_case, store_case, newline, data):
+    """A line i with no bad line before it is refused as line i by the
+    reader; with a non-ASCII byte put in it, it is refused as line i too."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for (text, bad), path, runs in cli_cases(tmp, circuit_case, store_case):
+            lines = text.split("\n")[:-1]
+            i = data.draw(st.integers(1, bad or len(lines)))
+            at = data.draw(st.integers(0, len(lines[i - 1])))
+            byte = data.draw(st.integers(0x80, 0xff))
+
+            def with_line(line):
+                body = lines[:i - 1] + [line] + lines[i:]
+                return "".join(x + newline for x in body).encode("latin-1")
+
+            for argv, code in runs:
+                path.write_bytes(with_line(MARKERS[path.name]))
+                assert_cli_refuses(argv, code, i)
+                path.write_bytes(with_line(
+                    lines[i - 1][:at] + chr(byte) + lines[i - 1][at:]))
+                err = assert_cli_refuses(argv, code, i)
+                assert err == f"error: line {i}: non-ASCII byte 0x{byte:02x}\n"
+
+
+def test_integer_token_and_form_feed_pinned(tmp_path):
+    path = tmp_path / "c.circ"
+    for text, err in [
+        (b"qubits 11\ngate X 1_0\n", "error: line 2: bad wire index '1_0'\n"),
+        (b"qubits 2\x0cgate X 0\ngate X 7\n",
+         "error: line 3: wire 7 out of range 0..1\n"),
+        (b"qubits 2\x0cgate X 0\ngate X \xff\n",
+         "error: line 3: non-ASCII byte 0xff\n"),
+    ]:
+        path.write_bytes(text)
+        assert run_cli("verify", "--circuit", str(path), "--circuit",
+                       str(path)) == (2, "", err)

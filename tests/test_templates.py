@@ -406,6 +406,16 @@ class TestStoreFiles:
         with pytest.raises(FileFormatError, match="line 1: invalid dimension 0"):
             parse_store("templates dim=0")
 
+    @pytest.mark.parametrize("token", ["0_4", "+4", "-4", "0x4", "4.0", "\u0664"])
+    def test_header_dimension_is_ascii_digits(self, token):
+        header = f"templates dim={token}"
+        with pytest.raises(FileFormatError) as info:
+            parse_store(header + "\n")
+        assert str(info.value) == f"line 1: bad dimension in header {header!r}"
+
+    def test_header_dimension_may_carry_spaces(self):
+        assert parse_store("templates dim= 4 \n").dimension == 4
+
     @pytest.mark.parametrize("dimension", [10 ** 20, 2 ** 40])
     def test_header_alone_builds_nothing_of_its_dimension(self, dimension):
         # the identity of a store's dimension is built only once a line's
