@@ -22,6 +22,10 @@ with equivalent before it writes the result.
 
 The passes work on a plain list of the input's gates, splicing each
 rewrite into it in place; each public call builds one Circuit, at the end.
+
+The reader parses each distinct line once per call, checking its wires as
+it goes; verify reads its two files in one call, so the second file's
+lines that the first already held cost one lookup each.
 """
 
 from __future__ import annotations
@@ -126,7 +130,8 @@ class Circuit:
             self._check_wires(inst.wires)
 
     def _check_wires(self, wires) -> None:
-        """Refuse a wire outside 0..n_wires-1; the reader calls it per line."""
+        """Refuse a wire outside 0..n_wires-1; the reader calls it once per
+        distinct line and sets its circuit's gates itself, unchecked again."""
         for w in wires:
             if not 0 <= w < self.n_wires:
                 raise WiringError(f"wire {w} out of range 0..{self.n_wires - 1}")
@@ -378,48 +383,72 @@ def format_circuit(circuit: Circuit) -> str:
 def parse_circuit(text: str, force: bool = False) -> Circuit:
     """Inverse of format_circuit.  The types check their own rules (wire
     range and arity included); the reader checks only syntax, integers as
-    errors._int reads them, and raises any error as FileFormatError naming
-    the 1-based line, lines as str.splitlines splits them."""
-    header = None  # the empty circuit of the 'qubits' line
-    instances: list[GateInstance] = []
-    # one-line notation text -> its gate, parsed (and checked) on first sight
+    errors._int reads them and a `perm` line's notation as its second
+    field, and raises any error as FileFormatError naming the 1-based line,
+    lines as str.splitlines splits them.  A line repeated in the text is
+    parsed once."""
+    return _parse_circuits([text], force)[0]
+
+
+def _parse_circuits(texts, force: bool) -> list[Circuit]:
+    """parse_circuit of each text, in order, taking the next text only
+    after the one before it parsed; every call starts a new memo, shared by
+    all its texts, from each raw line to its checked instance (per wire
+    count) and from each one-line notation to its gate.  A line enters the
+    memo only once it has passed every check, so a memo hit is a line that
+    parses, and a line that fails is parsed, and named, as if alone."""
+    known_by_width: dict[int, dict[str, GateInstance]] = {}
     inline: dict[str, Gate] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        try:
-            if header is None:
-                if fields[0] != "qubits" or len(fields) != 2:
-                    raise ValueError("expected header 'qubits <n>'")
-                header = Circuit(_int(fields[1], "wire count"), force=force)
-                continue
-            if fields[0] == "gate":
-                if len(fields) < 2:
-                    raise ValueError("missing gate name")
-                if fields[1] not in BUILTIN_GATES:
-                    raise ValueError(f"unknown gate {fields[1]!r}")
-                gate, tokens = BUILTIN_GATES[fields[1]], fields[2:]
-            elif fields[0] == "perm":
-                close = line.find(")")
-                if "(" not in line or close < 0:
-                    raise ValueError("missing one-line notation after 'perm'")
-                notation = line[line.index("("):close + 1]
-                gate = inline.get(notation)
-                if gate is None:
-                    gate = inline[notation] = Gate(Permutation.from_one_line(notation))
-                tokens = line[close + 1:].split()
-            else:
-                raise ValueError(f"unknown directive {fields[0]!r}")
-            inst = GateInstance(gate, tuple(_int(t, "wire index") for t in tokens))
-            header._check_wires(inst.wires)
-        except (PermGateError, ValueError) as exc:
-            raise FileFormatError(lineno, str(exc)) from None
-        instances.append(inst)
-    if header is None:
-        raise FileFormatError(1, "expected header 'qubits <n>'")
-    return Circuit(header.n_wires, instances, force=force)
+    circuits = []
+    for text in texts:
+        header = None  # the 'qubits' line's circuit; it takes the gates
+        known: dict[str, GateInstance] = {}  # none before the header
+        instances: list[GateInstance] = []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            inst = known.get(raw)
+            if inst is None:
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                fields = line.split()
+                try:
+                    if header is None:
+                        if fields[0] != "qubits" or len(fields) != 2:
+                            raise ValueError("expected header 'qubits <n>'")
+                        header = Circuit(_int(fields[1], "wire count"), force=force)
+                        known = known_by_width.setdefault(header.n_wires, {})
+                        continue
+                    if fields[0] == "gate":
+                        if len(fields) < 2:
+                            raise ValueError("missing gate name")
+                        if fields[1] not in BUILTIN_GATES:
+                            raise ValueError(f"unknown gate {fields[1]!r}")
+                        gate, tokens = BUILTIN_GATES[fields[1]], fields[2:]
+                    elif fields[0] == "perm":
+                        rest = line[4:].lstrip()  # whitespace, then the notation
+                        close = rest.find(")")
+                        if not rest.startswith("(") or close < 0:
+                            raise ValueError("missing one-line notation after 'perm'")
+                        notation = rest[:close + 1]
+                        gate = inline.get(notation)
+                        if gate is None:
+                            gate = inline[notation] = Gate(
+                                Permutation.from_one_line(notation))
+                        tokens = rest[close + 1:].split()
+                    else:
+                        raise ValueError(f"unknown directive {fields[0]!r}")
+                    inst = GateInstance(
+                        gate, tuple(_int(t, "wire index") for t in tokens))
+                    header._check_wires(inst.wires)
+                except (PermGateError, ValueError) as exc:
+                    raise FileFormatError(lineno, str(exc)) from None
+                known[raw] = inst
+            instances.append(inst)
+        if header is None:
+            raise FileFormatError(1, "expected header 'qubits <n>'")
+        header.gates = tuple(instances)  # each one passed _check_wires
+        circuits.append(header)
+    return circuits
 
 
 def save_circuit(circuit: Circuit, path) -> None:
@@ -428,4 +457,12 @@ def save_circuit(circuit: Circuit, path) -> None:
 
 
 def load_circuit(path, force: bool = False) -> Circuit:
+    """parse_circuit of the file's ASCII text (see errors._read_ascii)."""
     return parse_circuit(_read_ascii(path), force=force)
+
+
+def _load_circuits(paths, force: bool = False) -> list[Circuit]:
+    """load_circuit of each path with one memo across the files (see
+    _parse_circuits): a file is opened only after the one before it parsed,
+    so an error names the first bad file, as separate loads would."""
+    return _parse_circuits(map(_read_ascii, paths), force)

@@ -261,8 +261,8 @@ def _cmd_verify(args, parser) -> int:
     if len(args.circuit) != 2:
         parser.error("verify needs exactly two --circuit arguments")
     try:
-        a = circ.load_circuit(args.circuit[0], force=args.force)
-        b = circ.load_circuit(args.circuit[1], force=args.force)
+        # one line memo across both files: b mostly repeats a's lines
+        a, b = circ._load_circuits(args.circuit, force=args.force)
         first = circ.equivalent(a, b)
     except (PermGateError, OSError) as exc:
         # exit 1 is reserved for DIFFER here, so unusable inputs (unreadable,

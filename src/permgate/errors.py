@@ -5,7 +5,8 @@ in particular) can distinguish domain failures from bugs.  Every size cap
 (enumeration, multiplication table, census, wires) is refused by check_cap,
 the one place that raises CapExceeded, so every refusal has one shape.
 Input files are read through _read_ascii, so an encoding fault is a
-FileFormatError too; _int reads each header and wire-list integer token.
+FileFormatError too; _int reads each header and wire-list integer token,
+under the token rule of _is_digits that one-line notation shares.
 """
 
 
@@ -53,10 +54,20 @@ class FileFormatError(PermGateError, ValueError):
         self.line = line
 
 
+_MAX_DIGITS = 4300  # CPython's default int() limit, kept on every interpreter
+
+
+def _is_digits(token: str) -> bool:
+    """Whether `token` is an integer token of a file or of one-line notation:
+    ASCII digits only, so no sign, '_', '0x' or other scripts' digits, and at
+    most 4300 of them, so int() reads it on every interpreter."""
+    return token.isascii() and token.isdigit() and len(token) <= _MAX_DIGITS
+
+
 def _int(token: str, what: str) -> int:
-    """A file's integer token: ASCII digits only, the rule one-line notation
-    has, so signs, '_', '0x' and other scripts' digits are ValueError."""
-    if not (token.isascii() and token.isdigit()):
+    """A file's integer token, as _is_digits allows it; otherwise
+    ValueError('bad <what> <token>')."""
+    if not _is_digits(token):
         raise ValueError(f"bad {what} {token!r}")
     return int(token)
 

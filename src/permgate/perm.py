@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 import itertools
 
-from .errors import DimensionError, NotationError, check_cap
+from .errors import DimensionError, NotationError, _is_digits, check_cap
 
 # 12! is about 4.8e8; anything above that is refused without an override.
 ENUMERATION_CAP = 12
@@ -65,7 +65,7 @@ class Permutation:
         images = [-1] * size
         seen = set()
         for pos, tok in enumerate(tokens):
-            if not (tok.isascii() and tok.isdigit()):
+            if not _is_digits(tok):
                 raise NotationError(f"expected positive integer, got {tok!r}")
             entry = int(tok)
             if not 1 <= entry <= size:

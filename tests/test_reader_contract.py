@@ -7,7 +7,9 @@ FileFormatError naming the first bad line; nothing else may escape.  The
 same files through the CLI must give exit 1 (2 for verify), empty stdout,
 one `error: line N: ` stderr line and no traceback.  Lines are joined by
 any of the breaks str.splitlines knows, and a non-ASCII byte on a line is
-refused under the number the readers give that line.
+refused under the number the readers give that line.  Two texts read
+with one shared line memo, as verify reads its files, read as two separate
+parse_circuit calls do, and no memo outlives its call.
 """
 
 import contextlib
@@ -15,12 +17,13 @@ import io
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from permgate.circuit import BUILTIN_GATES, parse_circuit
+from permgate.circuit import (BUILTIN_GATES, GateInstance, _parse_circuits,
+                              equivalent, parse_circuit)
 from permgate.cli import main
-from permgate.errors import FileFormatError
+from permgate.errors import FileFormatError, PermGateError
 from permgate.perm import Permutation
 from permgate.templates import format_store, parse_store
 
@@ -54,6 +57,7 @@ def circuit_line(draw, n_wires, unicode):
         "perm (2,1) 0 1", "gate TOFFOLI 0",  # wrong dimension for the wires
         "perm (1,1) 0", "perm (3,1) 0", "perm (2,x) 0", "perm () 0",  # notation
         "gate NOT 0", "apply X 0",  # unknown gate or directive
+        "perm x(2,1) 0", "perm 5 (2,1) 0",  # junk before the notation
     ] + ["gate X \u0661", "perm (2,1) \u0660"] * unicode))  # Arabic-Indic 1, 0
     return bad, False
 
@@ -247,3 +251,118 @@ def test_integer_token_and_form_feed_pinned(tmp_path):
         path.write_bytes(text)
         assert run_cli("verify", "--circuit", str(path), "--circuit",
                        str(path)) == (2, "", err)
+
+
+def test_a_token_past_4300_digits_is_a_bad_token(tmp_path):
+    """4300 digits is CPython's default int() limit; a longer token gets
+    the reader's own message on every interpreter, never CPython's."""
+    path, out = tmp_path / "c.circ", str(tmp_path / "o.circ")
+    big = "1" * 5000
+    assert parse_circuit(f"qubits 1\ngate X {'0' * 4300}\n") == \
+        parse_circuit("qubits 1\ngate X 0\n")
+    for text, err in [
+        (f"qubits 2\ngate X {big}\n", f"error: line 2: bad wire index '{big}'\n"),
+        (f"qubits 1\ngate X {'0' * 4301}\n",
+         f"error: line 2: bad wire index '{'0' * 4301}'\n"),
+        (f"qubits {big}\ngate X 0\n", f"error: line 1: bad wire count '{big}'\n"),
+        (f"qubits 2\nperm ({big},1) 0\n",
+         f"error: line 2: expected positive integer, got '{big}'\n"),
+    ]:
+        path.write_text(text)
+        assert run_cli("verify", "--circuit", str(path), "--circuit",
+                       str(path)) == (2, "", err)
+        assert run_cli("optimize", "--circuit", str(path), "--out", out) == \
+            (1, "", err)
+
+
+@st.composite
+def text_pairs(draw):
+    """Two circuit texts, each valid or corrupted.  Mostly both are drawn
+    from one body of lines valid at `width` wires, one text at that width
+    and one at any width up to it, in either order; so a line valid in one
+    file (gate X 2 under qubits 3) recurs where it is out of range (under
+    qubits 2)."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(circuit_texts())[0], draw(circuit_texts())[0]
+    width = draw(st.integers(1, 4))
+    body = [draw(circuit_line(width, False))[0]
+            for _ in range(draw(st.integers(1, 5)))]
+
+    def text(wires):
+        lines = draw(st.lists(st.sampled_from(body + FILLER), max_size=8))
+        return "\n".join([f"qubits {wires}"] + lines) + "\n"
+
+    pair = text(width), text(draw(st.integers(1, width)))
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+def parsed(parse, *args):
+    """parse(*args), or its error's text and line number."""
+    try:
+        return parse(*args)
+    except FileFormatError as exc:
+        return str(exc), exc.line
+
+
+def verify_as_two_loads(a, b):
+    """verify's exit code, stdout and stderr with a separate parse per file."""
+    try:
+        first = equivalent(parse_circuit(a), parse_circuit(b))
+    except PermGateError as exc:
+        return 2, "", f"error: {exc}\n"
+    if first is None:
+        return 0, "EQUIVALENT\n", ""
+    return 1, "DIFFER\n", f"first differing basis index: {first}\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text_pairs())
+@example(("qubits 3\ngate X 2\n", "qubits 2\ngate X 2\n"))
+def test_a_shared_line_memo_reads_as_two_separate_parses(pair):
+    alone = [parsed(parse_circuit, text) for text in pair]
+    errors = [got for got in alone if isinstance(got, tuple)]
+    # the first file's error, as when it is loaded first, else both circuits
+    assert parsed(_parse_circuits, pair, False) == (errors[0] if errors else alone)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, "a.circ"), Path(tmp, "b.circ")]
+        for path, text in zip(paths, pair):
+            path.write_text(text)
+        assert run_cli("verify", "--circuit", str(paths[0]), "--circuit",
+                       str(paths[1])) == verify_as_two_loads(*pair)
+
+
+def test_the_line_memo_lasts_one_call(tmp_path, monkeypatch):
+    """verify of a file with itself builds each distinct line's instance,
+    and parses each distinct notation, once; a second verify in the same
+    process does all of it again."""
+    path = tmp_path / "c.circ"
+    body = ["gate CNOT 0 1", "perm (2,1) 2", "gate CNOT 0 1", "perm (2,1) 0",
+            "perm (2,1) 2", "perm (1,2,4,3) 2 1", "gate X 0"]
+    path.write_text("\n".join(["qubits 3"] + body) + "\n")
+    made, notations = [], []
+    post_init, from_one_line = GateInstance.__post_init__, Permutation.from_one_line
+
+    def counted_post_init(self):
+        made.append(self)
+        post_init(self)
+
+    def counted_from_one_line(cls, text):
+        notations.append(text)
+        return from_one_line(text)
+
+    monkeypatch.setattr(GateInstance, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Permutation, "from_one_line",
+                        classmethod(counted_from_one_line))
+    for calls in (1, 2):
+        assert run_cli("verify", "--circuit", str(path), "--circuit",
+                       str(path)) == (0, "EQUIVALENT\n", "")
+        assert len(made) == calls * len(set(body))
+        assert sorted(notations) == sorted(["(2,1)", "(1,2,4,3)"] * calls)
+
+
+def test_verify_parses_the_first_file_before_opening_the_second(tmp_path):
+    bad = tmp_path / "bad.circ"
+    bad.write_text("qubits 2\ngate X 2\n")
+    assert run_cli("verify", "--circuit", str(bad), "--circuit",
+                   str(tmp_path / "missing.circ")) == (
+        2, "", "error: line 2: wire 2 out of range 0..1\n")
