@@ -21,7 +21,7 @@ permutation by construction; the CLI's optimize command re-checks that
 with equivalent before it writes the result.
 
 The passes work on a plain list of the input's gates, splicing each
-rewrite into it in place; each public call builds one Circuit, at the end.
+rewrite into it in place; optimize, their one caller, builds one Circuit.
 
 The reader parses each distinct line once per call, checking its wires as
 it goes; verify reads its two files in one call, so the second file's
@@ -229,14 +229,9 @@ def equivalent(a: Circuit, b: Circuit) -> int | None:
     return (diff & -diff).bit_length() - 1 if diff else None
 
 
-def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
-    """Delete identity gates, and adjacent pairs on identical wire lists
-    whose permutations are mutual inverses, to fixpoint."""
-    return Circuit(circuit.n_wires, _cancel_inverses(circuit.gates), force=True)
-
-
 def _cancel_inverses(gates) -> list[GateInstance]:
-    """cancel_adjacent_inverses on a gate sequence, as a new list."""
+    """Delete identity gates, and adjacent pairs on identical wire lists
+    whose permutations are mutual inverses, to fixpoint, as a new list."""
     out: list[GateInstance] = []
     for inst in gates:
         # gates on one wire list have one size, and the pair cancels when the
@@ -250,44 +245,15 @@ def _cancel_inverses(gates) -> list[GateInstance]:
     return out
 
 
-def template_rewrite(
-    circuit: Circuit,
-    store: TemplateStore,
-    budget: int = DEFAULT_REWRITE_BUDGET,
-) -> Circuit:
-    """Rewrite windows matching a strict majority of a stored template.
-
-    A window of p same-wire instances whose composed permutation equals p
-    consecutive template gates (cyclically, p > m - p) is replaced by the
-    inverted remaining m - p gates in reverse order; one equal to their
-    inverse (the template read backwards, gates inverted) by those m - p
-    gates as stored.  Repeats until fixpoint or budget; the circuit
-    permutation is preserved and the gate count never increases.
-    """
-    if budget < 0:
-        raise ValueError(f"negative rewrite budget {budget}")
-    gates = list(circuit.gates)
-    _template_rewrite(gates, _build_scan(store), budget)
-    return Circuit(circuit.n_wires, gates, force=True)
-
-
-def _build_scan(store: TemplateStore) -> _RewriteScan:
-    """The rewrite lookup of a store whose templates can match qubit gates."""
-    dimension = store.dimension
-    if dimension & (dimension - 1):
-        raise DimensionError(
-            f"store dimension {dimension} is not a power of two; "
-            f"it can never match a window of qubit gates"
-        )
-    return _RewriteScan(store)
-
-
 def _template_rewrite(gates: list[GateInstance], scan: _RewriteScan,
                       budget: int) -> int:
-    """template_rewrite on a gate list, splicing each rewrite in place;
-    returns the number of rewrites.  Each rewrite is the first in the fixed
-    order: leftmost window, longest template first (then store order),
-    largest match, first cyclic offset."""
+    """Rewrite, in place, windows matching a strict majority of a stored
+    template, until fixpoint or budget; returns the number of rewrites.
+    A window of p same-wire gates equal to p consecutive template gates
+    (cyclically, p > m - p) becomes the other m - p inverted in reverse
+    order; one equal to their inverse, those m - p as stored.  Each rewrite
+    is the first in the fixed order: leftmost window, longest template
+    first (then store order), largest match, first cyclic offset."""
     dimension = scan.table.dimension
     longest, match = scan.longest, scan.match
     applied = start = 0
@@ -334,18 +300,21 @@ def optimize(
     """Alternate inverse cancellation and template rewriting to fixpoint."""
     if budget < 0:
         raise ValueError(f"negative rewrite budget {budget}")
+    scan = None  # the store's rewrite lookup, for this call only
+    if store is not None and budget > 0:
+        if store.dimension & (store.dimension - 1):
+            raise DimensionError(f"store dimension {store.dimension} is not a power "
+                                 f"of two; it can never match a window of qubit gates")
+        scan = _RewriteScan(store)
     gates = circuit.gates
     cancelled = 0
     rewrites = 0
-    scan = None  # built at the first rewrite round, for this call only
     while True:
         shrunk = _cancel_inverses(gates)
         cancelled += len(gates) - len(shrunk)
         gates = shrunk
-        if store is None or rewrites >= budget:
+        if scan is None or rewrites >= budget:
             break
-        if scan is None:
-            scan = _build_scan(store)
         applied = _template_rewrite(gates, scan, budget - rewrites)
         rewrites += applied
         if applied == 0:
@@ -383,10 +352,10 @@ def format_circuit(circuit: Circuit) -> str:
 def parse_circuit(text: str, force: bool = False) -> Circuit:
     """Inverse of format_circuit.  The types check their own rules (wire
     range and arity included); the reader checks only syntax, integers as
-    errors._int reads them and a `perm` line's notation as its second
-    field, and raises any error as FileFormatError naming the 1-based line,
-    lines as str.splitlines splits them.  A line repeated in the text is
-    parsed once."""
+    errors._int reads them and a `perm` line's notation as a field of its
+    own, the second, and raises any error as FileFormatError naming the
+    1-based line, lines as str.splitlines splits them.  A line repeated in
+    the text is parsed once."""
     return _parse_circuits([text], force)[0]
 
 
@@ -429,12 +398,15 @@ def _parse_circuits(texts, force: bool) -> list[Circuit]:
                         close = rest.find(")")
                         if not rest.startswith("(") or close < 0:
                             raise ValueError("missing one-line notation after 'perm'")
-                        notation = rest[:close + 1]
+                        notation, after = rest[:close + 1], rest[close + 1:]
+                        if after and not after[0].isspace():
+                            raise ValueError("expected whitespace after the "
+                                             "one-line notation")
                         gate = inline.get(notation)
                         if gate is None:
                             gate = inline[notation] = Gate(
                                 Permutation.from_one_line(notation))
-                        tokens = rest[close + 1:].split()
+                        tokens = after.split()
                     else:
                         raise ValueError(f"unknown directive {fields[0]!r}")
                     inst = GateInstance(

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from permgate import circuit as circuit_module
 from permgate.circuit import (
     BUILTIN_GATES,
+    DEFAULT_REWRITE_BUDGET,
     Circuit,
     Gate,
     GateInstance,
     OptimizeReport,
-    cancel_adjacent_inverses,
     circuit_permutation,
     equivalent,
     format_circuit,
@@ -23,7 +23,6 @@ from permgate.circuit import (
     optimize,
     parse_circuit,
     save_circuit,
-    template_rewrite,
 )
 from permgate.errors import (CapExceeded, DimensionError, FileFormatError,
                              WiringError)
@@ -112,6 +111,25 @@ def circuits_with_identities(draw):
             wires = tuple(draw(st.permutations(range(n_wires)))[:k])
         gates.append(GateInstance(gate, wires))
     return Circuit(n_wires, gates)
+
+
+def ref_cancel(gates) -> list[GateInstance]:
+    """Brute-force cancel pass: delete the first identity gate, or the first
+    adjacent pair on one wire tuple whose product is the identity, until
+    neither is left."""
+    gates = list(gates)
+    while True:
+        for i, g in enumerate(gates):
+            if g.gate.perm.is_identity():
+                del gates[i]
+                break
+            nxt = gates[i + 1] if i + 1 < len(gates) else None
+            if (nxt is not None and nxt.wires == g.wires
+                    and nxt.gate.perm == g.gate.perm.inverse()):
+                del gates[i:i + 2]
+                break
+        else:
+            return gates
 
 
 @st.composite
@@ -500,38 +518,48 @@ class TestCompiledGates:
         assert sorted(compiled) == first
 
 
+def rewritten(circuit, store, budget=DEFAULT_REWRITE_BUDGET, cancels=0):
+    """optimize with a store, checking that its cancel pass removed exactly
+    `cancels` gates, so the rest of the change is the rewrite pass's."""
+    out, report = optimize(circuit, store, budget)
+    assert report.cancelled_gates == cancels
+    return out
+
+
 class TestCancelAdjacentInverses:
+    """The cancel pass, through optimize without a store."""
+
     def test_cnot_pair(self):
         c = Circuit(2, [inst(CNOT, 0, 1), inst(CNOT, 0, 1)])
-        assert len(cancel_adjacent_inverses(c)) == 0
+        assert len(optimize(c)[0]) == 0
 
     def test_non_involution_pair_stays(self):
         c = Circuit(2, [inst(B_GATE, 0, 1), inst(B_GATE, 0, 1)])
-        assert cancel_adjacent_inverses(c) == c
+        assert optimize(c)[0] == c
 
     def test_inverse_pair_cancels(self):
         b_inv = Gate(B_GATE.perm.inverse())
         c = Circuit(2, [inst(B_GATE, 0, 1), inst(b_inv, 0, 1)])
-        assert len(cancel_adjacent_inverses(c)) == 0
+        assert len(optimize(c)[0]) == 0
 
     def test_different_wires_stay(self):
         c = Circuit(2, [inst(X, 0), inst(X, 1)])
-        assert cancel_adjacent_inverses(c) == c
+        assert optimize(c)[0] == c
 
     def test_different_wire_order_stays(self):
         c = Circuit(2, [inst(CNOT, 0, 1), inst(CNOT, 1, 0)])
-        assert cancel_adjacent_inverses(c) == c
+        assert optimize(c)[0] == c
 
     def test_identity_gates_deleted(self):
         ident = Gate(Permutation.identity(4))
         c = Circuit(2, [inst(CNOT, 0, 1), inst(ident, 1, 0), inst(CNOT, 0, 1),
                         inst(BUILTIN_GATES["I"], 1)])
-        assert len(cancel_adjacent_inverses(c)) == 0
+        assert len(optimize(c)[0]) == 0
 
     def test_nested_pairs(self):
         c = Circuit(2, [inst(SWAP, 0, 1), inst(CNOT, 0, 1),
                         inst(CNOT, 0, 1), inst(SWAP, 0, 1)])
-        assert len(cancel_adjacent_inverses(c)) == 0
+        assert len(optimize(c)[0]) == 0
 
     def test_builds_no_permutation_product(self, monkeypatch):
         def refuse(p, q):
@@ -550,98 +578,124 @@ class TestCancelAdjacentInverses:
         rng = random.Random(5)
         for _ in range(20):
             c = random_circuit(rng, 2, 10)
-            out = cancel_adjacent_inverses(c)
+            out = optimize(c)[0]
             assert circuit_permutation(out) == circuit_permutation(c)
             assert len(out) <= len(c)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(c=circuits_with_identities())
+    def test_matches_the_brute_force_reference(self, c):
+        out, report = optimize(c)
+        gates = ref_cancel(c.gates)
+        assert out == Circuit(c.n_wires, gates)
+        assert report.cancelled_gates == len(c) - len(gates)
+
+
+def three_gate_template(store):
+    """The first 3-gate template of `store`: no two of its gates cancel."""
+    return next(t for t in store if len(t.gates) == 3).gates
+
 
 class TestTemplateRewrite:
+    """The rewrite pass, through optimize with a store; each input is one
+    the cancel pass leaves alone, before and after each rewrite."""
+
     def test_two_of_three_window(self, s4_store):
-        t = next(t for t in s4_store if len(t.gates) == 3)
-        u1, u2, u3 = t.gates
+        u1, u2, u3 = three_gate_template(s4_store)
         c = Circuit(2, [inst(Gate(u1), 1, 0), inst(Gate(u2), 1, 0)])
-        out = template_rewrite(c, s4_store)
+        out = rewritten(c, s4_store)
         assert len(out) == 1
         assert out.gates[0].gate.perm == u3.inverse()
         assert circuit_permutation(out) == circuit_permutation(c)
 
     def test_full_window_deleted(self, s4_store):
-        c = Circuit(2, [inst(B_GATE, 0, 1), inst(Gate(B_GATE.perm.inverse()), 0, 1)])
-        assert len(template_rewrite(c, s4_store)) == 0
+        c = two_wire(*(g.one_line() for g in three_gate_template(s4_store)))
+        out, report = optimize(c, s4_store)
+        assert len(out) == 0
+        assert (report.cancelled_gates, report.template_rewrites) == (0, 1)
 
     def test_no_match_unchanged(self, s4_store):
         c = Circuit(2, [inst(SWAP, 0, 1)])
-        assert template_rewrite(c, s4_store) == c
-        pair = Circuit(2, [inst(CNOT, 0, 1), inst(CNOT, 0, 1)])
-        assert template_rewrite(pair, TemplateStore(4)) == pair
+        assert rewritten(c, s4_store) == c
+        pair = Circuit(2, [inst(B_GATE, 0, 1), inst(B_GATE, 0, 1)])
+        assert rewritten(pair, TemplateStore(4)) == pair
 
     def test_wire_tuple_must_match(self, s4_store):
         # the two windows land on different wire tuples, so no rewrite
         c = Circuit(3, [inst(B_GATE, 0, 1), inst(Gate(B_GATE.perm.inverse()), 0, 2)])
-        assert template_rewrite(c, s4_store) == c
+        assert rewritten(c, s4_store) == c
 
     def test_budget_zero(self, s4_store):
-        c = Circuit(2, [inst(CNOT, 0, 1), inst(CNOT, 0, 1)])
-        assert template_rewrite(c, s4_store, budget=0) == c
+        u1, u2, _ = three_gate_template(s4_store)
+        c = Circuit(2, [inst(Gate(u1), 0, 1), inst(Gate(u2), 0, 1)])
+        assert rewritten(c, s4_store, budget=0) == c
+        assert len(rewritten(c, s4_store, budget=1)) == 1
 
     def test_budget_counts_rewrites(self, s4_store):
-        c = Circuit(2, [inst(CNOT, 0, 1), inst(CNOT, 0, 1),
-                        inst(SWAP, 0, 1), inst(SWAP, 0, 1)])
-        partial = template_rewrite(c, s4_store, budget=1)
-        assert len(partial) == 2
+        # two windows, on wires (0, 1) and (1, 2), each rewritten to one gate
+        u1, u2, _ = three_gate_template(s4_store)
+        c = Circuit(3, [inst(Gate(u1), 0, 1), inst(Gate(u2), 0, 1),
+                        inst(Gate(u1), 1, 2), inst(Gate(u2), 1, 2)])
+        partial, report = optimize(c, s4_store, budget=1)
+        assert len(partial) == 3
+        assert (report.cancelled_gates, report.template_rewrites) == (0, 1)
         assert circuit_permutation(partial) == circuit_permutation(c)
+        assert len(rewritten(c, s4_store, budget=2)) == 2
 
     def test_non_power_of_two_store_rejected(self):
         store = TemplateStore(6)
         g = Permutation([1, 2, 3, 4, 5, 0])
         store.add(Template((g, g.inverse())))
         with pytest.raises(DimensionError):
-            template_rewrite(Circuit(2), store)
+            optimize(Circuit(2), store)
 
     def test_oversized_store_is_noop(self):
         store = TemplateStore(8)
         g = Permutation([1, 2, 3, 4, 5, 6, 7, 0])
         store.add(Template((g, g.inverse())))
         c = Circuit(2, [inst(CNOT, 0, 1)])
-        assert template_rewrite(c, store) == c
+        assert rewritten(c, store) == c
 
     def test_semantics_and_count_random(self, s4_store):
         rng = random.Random(41)
         for _ in range(25):
             c = random_circuit(rng, 2, 12)
-            out = template_rewrite(c, s4_store, budget=200)
+            out, _ = optimize(c, s4_store, budget=200)
             assert circuit_permutation(out) == circuit_permutation(c)
             assert len(out) <= len(c)
 
     def test_resumes_where_the_rewrite_can_reach(self):
-        # the rewrite at gate 5 changes the last gate of the 4-gate window
-        # at gate 2 = 5 - 4 + 1, which only then matches; the scan must
-        # resume there, not at the rewrite itself
+        # the rewrite at gate 4 deletes gates 4-7, so gate 8 becomes the
+        # last gate of the 4-gate window at gate 1 = 4 - 4 + 1, which only
+        # then matches; the scan must resume there, not later, or its second
+        # rewrite would be the template on wires (1, 0) at the end
         store = parse_store("templates dim=4\n"
                             "template: (2,4,3,1);(2,4,3,1);(1,4,2,3);(3,2,4,1)\n"
                             "template: (2,4,3,1);(1,4,2,3);(3,4,2,1);(3,4,2,1)\n")
 
-        def circuit(*texts):
-            return Circuit(2, [inst(Gate(Permutation.from_one_line(t)), 0, 1)
-                               for t in texts])
+        def on(wires, *texts):
+            return [inst(Gate(Permutation.from_one_line(t)), *wires)
+                    for t in texts]
 
-        c = circuit("(4,3,1,2)", "(1,3,4,2)", "(3,2,4,1)", "(2,4,3,1)",
-                    "(4,2,1,3)", "(3,4,2,1)", "(4,3,1,2)", "(2,3,1,4)")
-        assert template_rewrite(c, store, budget=1) == circuit(
-            "(4,3,1,2)", "(1,3,4,2)", "(3,2,4,1)", "(2,4,3,1)",
-            "(4,2,1,3)", "(2,3,1,4)")
-        assert template_rewrite(c, store, budget=2) == circuit(
-            "(4,3,1,2)", "(1,3,4,2)")
-        assert template_rewrite(c, store) == circuit("(4,3,1,2)", "(1,3,4,2)")
+        tail = on((1, 0), "(2,4,3,1)", "(2,4,3,1)", "(1,4,2,3)", "(3,2,4,1)")
+        c = Circuit(2, on((0, 1), "(4,1,3,2)", "(3,2,4,1)", "(4,3,1,2)",
+                          "(4,3,1,2)", "(1,4,2,3)", "(1,4,2,3)", "(4,2,1,3)",
+                          "(3,1,2,4)", "(3,1,2,4)") + tail)
+        assert rewritten(c, store, budget=1) == Circuit(2, on(
+            (0, 1), "(4,1,3,2)", "(3,2,4,1)", "(4,3,1,2)", "(4,3,1,2)",
+            "(3,1,2,4)") + tail)
+        assert rewritten(c, store, budget=2) == Circuit(
+            2, on((0, 1), "(4,1,3,2)") + tail)
+        assert rewritten(c, store) == Circuit(2, on((0, 1), "(4,1,3,2)"))
 
     def test_reversed_inverse_orientation(self):
         # the store keeps one orientation of a word, but the word read
         # backwards with every gate inverted is an identity template too
         store = parse_store("templates dim=4\n"
                             "template: (2,3,4,1);(2,3,1,4);(4,3,1,2)\n")
-        assert (template_rewrite(two_wire("(2,3,4,1)", "(2,3,1,4)"), store)
+        assert (rewritten(two_wire("(2,3,4,1)", "(2,3,1,4)"), store)
                 == two_wire("(3,4,2,1)"))
-        assert (template_rewrite(two_wire("(3,4,2,1)", "(3,1,2,4)"), store)
+        assert (rewritten(two_wire("(3,4,2,1)", "(3,1,2,4)"), store)
                 == two_wire("(2,3,4,1)"))
 
     def test_forward_reading_wins_a_tie(self):
@@ -655,13 +709,13 @@ class TestTemplateRewrite:
         reverse = two_wire("(2,3,1,4)", "(2,1,3,4)")
         assert equivalent(forward, c) is None
         assert equivalent(reverse, c) is None
-        assert template_rewrite(c, store) == forward
+        assert rewritten(c, store) == forward
 
     def test_deterministic(self, s4_store):
         rng = random.Random(43)
         c = random_circuit(rng, 2, 15)
-        first = template_rewrite(c, s4_store)
-        second = template_rewrite(c, s4_store)
+        first = optimize(c, s4_store)
+        second = optimize(c, s4_store)
         assert first == second
 
 
@@ -681,15 +735,25 @@ class TestOptimize:
         assert report.removed == 2
 
     @pytest.mark.parametrize("with_store", [True, False])
-    def test_negative_budget_refused_like_template_rewrite(self, s4_store,
-                                                           with_store):
+    def test_negative_budget_refused(self, s4_store, with_store):
         c = Circuit(2, [inst(CNOT, 0, 1), inst(CNOT, 0, 1)])
         store = s4_store if with_store else None
         with pytest.raises(ValueError, match=r"^negative rewrite budget -3$"):
             optimize(c, store, budget=-3)
-        with pytest.raises(ValueError, match=r"^negative rewrite budget -3$"):
-            template_rewrite(c, s4_store, budget=-3)
         assert optimize(c, store, budget=0)[0] == Circuit(2)
+
+    def test_non_power_of_two_store_refused_only_with_a_budget(self):
+        # a store with budget 0 is neither checked nor scanned
+        store = TemplateStore(6)
+        g = Permutation([1, 2, 3, 4, 5, 0])
+        store.add(Template((g, g.inverse())))
+        c = Circuit(2, [inst(CNOT, 0, 1), inst(CNOT, 0, 1), inst(X, 1)])
+        assert optimize(c, store, budget=0) == optimize(c)
+        for budget in (1, DEFAULT_REWRITE_BUDGET):
+            with pytest.raises(DimensionError, match=(
+                    r"^store dimension 6 is not a power of two; it can never "
+                    r"match a window of qubit gates$")):
+                optimize(c, store, budget)
 
     def test_identity_gate_deleted(self):
         c = parse_circuit("qubits 1\ngate I 0\n")

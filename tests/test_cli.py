@@ -1,14 +1,19 @@
 import argparse
+import contextlib
 import decimal
 import functools
+import io
 import itertools
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import permgate
 from permgate import circuit, cli, counting, templates
@@ -626,6 +631,24 @@ class TestOptimize:
                                "window of qubit gates\n")
         assert not (tmp_path / "o").exists()
 
+    def test_dim6_store_refused_only_with_a_budget(self, capsys, tmp_path):
+        circ = tmp_path / "c.circ"
+        circ.write_text("qubits 1\ngate X 0\ngate X 0\ngate X 0\n")
+        store = tmp_path / "dim6.tmpl"
+        store.write_text("templates dim=6\n"
+                         "template: (2,3,4,5,6,1);(6,1,2,3,4,5)\n")
+        out_path = tmp_path / "o.circ"
+        argv = ["optimize", "--circuit", str(circ), "--templates", str(store),
+                "--out", str(out_path)]
+        assert run(capsys, *argv, "--budget", "0") == (
+            0, "gates_before=3\ngates_after=1\nremoved=2\nrewrites=0\n", "")
+        assert out_path.read_text() == "qubits 1\ngate X 0\n"
+        out_path.unlink()
+        assert run(capsys, *argv) == (
+            1, "", "error: store dimension 6 is not a power of two; it can "
+                   "never match a window of qubit gates\n")
+        assert not out_path.exists()
+
     def test_missing_file_exit_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "optimize",
                            "--circuit", str(tmp_path / "nope.circ"),
@@ -789,3 +812,66 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--circuit", str(a)])
         assert exc.value.code == 2
+
+
+@st.composite
+def valid_circuit_texts(draw):
+    """A circuit file of 1-4 wires from valid lines only: builtins and
+    inline 1-3-qubit gates, with 2-qubit gates often on wires 0 1 so that
+    runs reach the S_4 store's templates."""
+    n_wires = draw(st.integers(1, 4))
+    lines = [f"qubits {n_wires}"]
+    for _ in range(draw(st.integers(0, 12))):
+        k = draw(st.integers(1, min(3, n_wires)))
+        if k == 2 and draw(st.booleans()):
+            wires = "0 1"
+        else:
+            wires = " ".join(map(str, draw(st.permutations(range(n_wires)))[:k]))
+        if draw(st.booleans()):
+            names = sorted(n for n, g in circuit.BUILTIN_GATES.items()
+                           if g.n_qubits == k)
+            lines.append(f"gate {draw(st.sampled_from(names))} {wires}")
+        else:
+            perm = Permutation(draw(st.permutations(range(2 ** k))))
+            lines.append(f"perm {perm.one_line()} {wires}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def s4_store_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("store") / "s4.tmpl"
+    templates.save_store(templates.generate_templates(
+        templates.GateLibrary.symmetric_group(4), 3), path)
+    return path
+
+
+def run_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=valid_circuit_texts(), with_store=st.booleans())
+def test_valid_runs_through_the_cli(s4_store_path, text, with_store):
+    """optimize of a valid circuit exits 0 with an equivalent circuit of no
+    more gates, which optimize leaves as it is and verify finds equivalent
+    to itself."""
+    store = ["--templates", s4_store_path] if with_store else []
+    with tempfile.TemporaryDirectory() as tmp:
+        src, once, twice = (Path(tmp, name) for name in ("c", "o1", "o2"))
+        src.write_text(text)
+        code, out, err = run_main("optimize", "--circuit", src, *store,
+                                  "--out", once)
+        assert code == 0, err
+        assert "Traceback" not in err
+        before, after = circuit.load_circuit(src), circuit.load_circuit(once)
+        assert circuit.equivalent(after, before) is None
+        assert len(after) <= len(before)
+        code, out, err = run_main("optimize", "--circuit", once, *store,
+                                  "--out", twice)
+        assert code == 0, err
+        assert "removed=0\n" in out and "rewrites=0\n" in out
+        assert run_main("verify", "--circuit", once, "--circuit", once) == (
+            0, "EQUIVALENT\n", "")

@@ -58,6 +58,7 @@ def circuit_line(draw, n_wires, unicode):
         "perm (1,1) 0", "perm (3,1) 0", "perm (2,x) 0", "perm () 0",  # notation
         "gate NOT 0", "apply X 0",  # unknown gate or directive
         "perm x(2,1) 0", "perm 5 (2,1) 0",  # junk before the notation
+        "perm (2,1)0", "perm (2,1)) 0",  # junk after the notation
     ] + ["gate X \u0661", "perm (2,1) \u0660"] * unicode))  # Arabic-Indic 1, 0
     return bad, False
 
@@ -251,6 +252,21 @@ def test_integer_token_and_form_feed_pinned(tmp_path):
         path.write_bytes(text)
         assert run_cli("verify", "--circuit", str(path), "--circuit",
                        str(path)) == (2, "", err)
+
+
+def test_a_notation_glued_to_its_wires_is_refused(tmp_path):
+    """After a `perm` notation's `)` comes whitespace or the line's end, as
+    after a builtin's name: `perm (2,1)0` is refused like `gate X0`."""
+    path, out = tmp_path / "c.circ", str(tmp_path / "o.circ")
+    err = "error: line 2: expected whitespace after the one-line notation\n"
+    for line in ["perm (2,1)0", "perm (2,1)) 0", "perm (2,1)0 # x"]:
+        path.write_text(f"qubits 2\n{line}\n")
+        assert run_cli("verify", "--circuit", str(path), "--circuit",
+                       str(path)) == (2, "", err)
+        assert run_cli("optimize", "--circuit", str(path), "--out", out) == \
+            (1, "", err)
+    assert parse_circuit("qubits 2\nperm (2,1)\t0\n") == \
+        parse_circuit("qubits 2\ngate X 0\n")
 
 
 def test_a_token_past_4300_digits_is_a_bad_token(tmp_path):

@@ -6,8 +6,9 @@ Template.is_degenerate, Template.canonical_key and Template.verifies on
 every candidate, a store keyed by image tuples, and a scan that composes
 every window and template slice, reads each template forward and then
 backwards with its gates inverted, and restarts at gate 0 after each
-rewrite.  Libraries are random subgroups of S_3 and S_4, listed in
-shuffled order so that library index order is not image order.
+rewrite; its cancel pass is test_circuit's brute-force ref_cancel.
+Libraries are random subgroups of S_3 and S_4, listed in shuffled order
+so that library index order is not image order.
 """
 
 import collections
@@ -30,7 +31,6 @@ from permgate.circuit import (
     Gate,
     GateInstance,
     OptimizeReport,
-    cancel_adjacent_inverses,
     optimize,
 )
 from permgate.errors import FileFormatError
@@ -45,6 +45,7 @@ from permgate.templates import (
     parse_store,
     two_gate_templates,
 )
+from test_circuit import ref_cancel
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
                     database=None)
@@ -194,7 +195,7 @@ def ref_optimize(circuit, store, budget=DEFAULT_REWRITE_BUDGET):
     templates = sorted(store.templates, key=lambda t: -len(t.gates))
     before, cancelled, rewrites = len(circuit), 0, 0
     while True:
-        shrunk = cancel_adjacent_inverses(circuit)
+        shrunk = Circuit(circuit.n_wires, ref_cancel(circuit.gates), force=True)
         cancelled += len(circuit) - len(shrunk)
         circuit = shrunk
         if rewrites >= budget:
