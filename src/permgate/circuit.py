@@ -131,7 +131,8 @@ class Circuit:
 
     def _check_wires(self, wires) -> None:
         """Refuse a wire outside 0..n_wires-1; the reader calls it once per
-        distinct line and sets its circuit's gates itself, unchecked again."""
+        distinct line, and the reader and optimize set their circuit's gates
+        themselves, unchecked again."""
         for w in wires:
             if not 0 <= w < self.n_wires:
                 raise WiringError(f"wire {w} out of range 0..{self.n_wires - 1}")
@@ -325,7 +326,9 @@ def optimize(
         cancelled_gates=cancelled,
         template_rewrites=rewrites,
     )
-    return Circuit(circuit.n_wires, gates, force=True), report
+    result = Circuit(circuit.n_wires, force=True)
+    result.gates = tuple(gates)  # on wires that circuit's check already passed
+    return result, report
 
 
 # --- circuit file format ---------------------------------------------------

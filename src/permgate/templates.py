@@ -27,20 +27,29 @@ stored word.  A word's symmetry orbit is its rotations and those of its
 reversed elementwise inverse, so a word is already stored up to symmetry
 exactly when it, or its reversed inverse, is in the set: one or two
 hashes, whatever order the indices come in.  Storing a template of n
-gates adds its n rotations.  Generation inverts each candidate from its
-parent's reversed inverse, and walks no candidate under 6 gates for
-stored factors, since such a candidate cannot contain one.
+gates adds its n rotations, each built by one itemgetter per rotation
+and word length.  Generation inverts each candidate from its parent's
+reversed inverse, and walks no candidate under 6 gates for stored
+factors, since such a candidate cannot contain one.  Loading maps each
+line's gate texts to indices in one step and parses a gate text only
+the first time it turns up.
 
 Every stored word composes to the identity, so the rewrite scan's lookup
 keys the p gates from an offset by the inverse of the m - p gates after
 them: the identity for p = m, one inverse for p = m - 1, and a product
-only for the words of 5 or more gates.
+only for the words of 5 or more gates.  For 3 and 4 gates, p = m - 1 is
+the only key besides the identity, so the build stops reading the words
+of such a length once its lookup holds the inverse of every gate they
+use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (ClosureError, DimensionError, FileFormatError,
@@ -286,10 +295,7 @@ class TemplateStore:
             raise DimensionError(
                 f"template dimension {t.dimension} != store dimension {self.dimension}"
             )
-        return self._add_word(self._word(t))
-
-    def _add_word(self, word: tuple[int, ...]) -> bool:
-        table = self._table
+        word, table = self._word(t), self._table
         if not table.is_identity_word(word):
             raise ValueError(
                 f"template does not compose to identity: {table.text(word)}")
@@ -307,7 +313,7 @@ class TemplateStore:
         return tuple([inv[g] for g in reversed(word)]) in rotations
 
     def _insert(self, word: tuple[int, ...]) -> None:
-        self._rotations.update([word[k:] + word[:k] for k in range(len(word))])
+        self._rotations.update([rotate(word) for rotate in _rotators(len(word))])
         self._words.append(word)
 
     def subsumes(self, t: Template) -> bool:
@@ -329,6 +335,13 @@ class TemplateStore:
         return False
 
 
+@functools.lru_cache(maxsize=16)
+def _rotators(n: int) -> tuple[operator.itemgetter, ...]:
+    """One itemgetter per cyclic rotation of an n-gate word, n >= 2 (with
+    one index an itemgetter returns the bare item, not a tuple)."""
+    return tuple(operator.itemgetter(*range(k, n), *range(k)) for k in range(n))
+
+
 class _RewriteScan:
     """The rewrite lookup of one store; match picks each rewrite.
 
@@ -344,7 +357,11 @@ class _RewriteScan:
     compose to the inverse of the m - p gates after them, and each entry is
     keyed by that short remainder: p = m is the identity, p = m - 1 the
     inverse of one gate, and only words of 5 or more gates need a product,
-    built by prepending the next inverted gate as p steps down.
+    built by prepending the next inverted gate as p steps down.  Words of
+    3 or 4 gates have no other strict majority, and their keys at p = m - 1
+    are inverses of their gates; so the build reads the words of such a
+    length in rank order only until ``first[m - 1]`` holds the inverse of
+    every gate they use, since each later word would add nothing.
     """
 
     def __init__(self, store: TemplateStore):
@@ -355,26 +372,42 @@ class _RewriteScan:
             {} for _ in range(self.longest + 1)]
         if not self.ranked:
             return  # interns no identity, whatever the store's dimension
-        mul, inv, e = table.mul, table.inv, table.identity
-        for rank, word in enumerate(self.ranked):
-            m = len(word)
-            whole = self.first[m]
-            if e not in whole:
-                whole[e] = (rank, 0)
-            if m < 3:
-                continue
-            cyclic = word + word
-            for offset in range(m):
-                p = m - 1
-                acc = inv[cyclic[offset + p]]
-                while True:
-                    lookup = self.first[p]
-                    if acc not in lookup:
-                        lookup[acc] = (rank, offset)
-                    p -= 1
-                    if p <= m // 2:
+        mul, inv, e, first = table.mul, table.inv, table.identity, self.first
+        sizes = Counter(map(len, self.ranked))
+        start = 0
+        for m in sorted(sizes, reverse=True):  # the ranks of one length at a time
+            stop = start + sizes[m]
+            words = self.ranked[start:stop]
+            if e not in first[m]:
+                first[m][e] = (start, 0)
+            if 3 <= m <= 4:
+                # offset k's one key besides e is the inverse of gate k - 1
+                lookup = first[m - 1]
+                missing = len({inv[g] for g in set().union(*words)}
+                              .difference(lookup))
+                for rank, word in enumerate(words, start):
+                    if not missing:
                         break
-                    acc = mul[inv[cyclic[offset + p]]][acc]
+                    for offset in range(m):
+                        key = inv[word[offset - 1]]
+                        if key not in lookup:
+                            lookup[key] = (rank, offset)
+                            missing -= 1
+            elif m >= 5:
+                for rank, word in enumerate(words, start):
+                    cyclic = word + word
+                    for offset in range(m):
+                        p = m - 1
+                        acc = inv[cyclic[offset + p]]
+                        while True:
+                            lookup = first[p]
+                            if acc not in lookup:
+                                lookup[acc] = (rank, offset)
+                            p -= 1
+                            if p <= m // 2:
+                                break
+                            acc = mul[inv[cyclic[offset + p]]][acc]
+            start = stop
 
     def match(self, perms) -> tuple[int, list[Permutation]] | None:
         """(p, the replacement in circuit order) for the first p of `perms`,
@@ -514,27 +547,39 @@ def parse_store(text: str) -> TemplateStore:
     # gate text as split, spaces included -> table index, or None for a gate
     # of another dimension; each text is stripped and parsed on first sight
     seen: dict[str, int | None] = {}
+    index_of, dimension, table = seen.__getitem__, store.dimension, store._table
+    verifies, inverse = table.is_identity_word, table.inv.__getitem__
+    rotations, insert = store._rotations, store._insert
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if not line.startswith("template:"):
             raise FileFormatError(lineno, f"expected 'template:' line, got {raw!r}")
-        parts = line[len("template:"):].lstrip().split(";")
+        parts = line[9:].lstrip().split(";")  # 9 == len("template:")
         try:
-            for part in parts:
-                if part not in seen:
-                    perm = Permutation.from_one_line(part.strip())
-                    seen[part] = (store._table.intern(perm)
-                                  if perm.size == store.dimension else None)
-            word = tuple([seen[part] for part in parts])
+            try:
+                word = tuple(map(index_of, parts))
+            except KeyError:
+                for part in parts:
+                    if part not in seen:
+                        perm = Permutation.from_one_line(part.strip())
+                        seen[part] = (table.intern(perm)
+                                      if perm.size == dimension else None)
+                word = tuple(map(index_of, parts))
             if None in word:
-                raise ValueError(f"gate dimension differs from dim={store.dimension}")
+                raise ValueError(f"gate dimension differs from dim={dimension}")
             if len(word) < 2:
                 raise ValueError("template needs at least 2 gates")
-            store._add_word(word)
+            if not verifies(word):
+                raise ValueError(
+                    f"template does not compose to identity: {table.text(word)}")
         except ValueError as exc:
             raise FileFormatError(lineno, str(exc)) from None
+        # new up to rotation and reversal with inverses
+        if (word not in rotations
+                and tuple(map(inverse, reversed(word))) not in rotations):
+            insert(word)
     return store
 
 

@@ -17,6 +17,7 @@ import io
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,35 @@ from permgate.templates import format_store, parse_store
 
 FILLER = ["", "   ", "# a comment", "  # indented comment"]
 BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c"]  # one line break each
+
+
+def bad_circuit_lines(n_wires, unicode):
+    """Body lines an n-wire circuit refuses wherever they stand; non-ASCII
+    ones only when `unicode` is set."""
+    return [
+        "gate", "gate X", "perm", "perm (2,1)", "perm 2,1 0",  # missing tokens
+        "gate X zero", "gate X 0.5", "perm (2,1) w0",  # bad wire tokens
+        "gate X 1_0", "gate X +1", "gate X 0x1", "perm (2,1) +0",  # not digits
+        f"gate X {n_wires}", "gate X -1",  # wires out of range
+        "gate CNOT 0 0", "perm (1,2,4,3) 1 1",  # repeated wires
+        "qubits 2",  # a second header
+        "perm (2,3,1) 0 1", "perm (1) 0",  # size not a power of two
+        "perm (2,1) 0 1", "gate TOFFOLI 0",  # wrong dimension for the wires
+        "perm (1,1) 0", "perm (3,1) 0", "perm (2,x) 0", "perm () 0",  # notation
+        "gate NOT 0", "apply X 0",  # unknown gate or directive
+        "perm x(2,1) 0", "perm 5 (2,1) 0",  # junk before the notation
+        "perm (2,1)0", "perm (2,1)) 0",  # junk after the notation
+    ] + ["gate X \u0661", "perm (2,1) \u0660"] * unicode  # Arabic-Indic 1, 0
+
+
+BAD_STORE_LINES = [
+    "template:", "template: (2,1,3,4)",  # missing tokens
+    "(1,2,4,3);(1,2,4,3)", "templates dim=4",  # no prefix, second header
+    "template: (1,1,3,4);(1,1,3,4)", "template: (2,1,3,x);(2,1,3,4)",
+    "template: (1,2,4,3);;(1,2,4,3)",  # bad one-line notation
+    "template: (2,1);(2,1)", "template: (2,3,1);(3,1,2)",  # dimension
+    "template: (2,1,3,4);(1,2,4,3)",  # does not compose to the identity
+]
 
 
 @st.composite
@@ -46,20 +76,7 @@ def circuit_line(draw, n_wires, unicode):
             line = f"perm {perm.one_line()} {wires}"
         comment = draw(st.sampled_from(["", "  # note", " #(2,1) 0)"]))
         return line + comment, True
-    bad = draw(st.sampled_from([
-        "gate", "gate X", "perm", "perm (2,1)", "perm 2,1 0",  # missing tokens
-        "gate X zero", "gate X 0.5", "perm (2,1) w0",  # bad wire tokens
-        "gate X 1_0", "gate X +1", "gate X 0x1", "perm (2,1) +0",  # not digits
-        f"gate X {n_wires}", "gate X -1",  # wires out of range
-        "gate CNOT 0 0", "perm (1,2,4,3) 1 1",  # repeated wires
-        "qubits 2",  # a second header
-        "perm (2,3,1) 0 1", "perm (1) 0",  # size not a power of two
-        "perm (2,1) 0 1", "gate TOFFOLI 0",  # wrong dimension for the wires
-        "perm (1,1) 0", "perm (3,1) 0", "perm (2,x) 0", "perm () 0",  # notation
-        "gate NOT 0", "apply X 0",  # unknown gate or directive
-        "perm x(2,1) 0", "perm 5 (2,1) 0",  # junk before the notation
-        "perm (2,1)0", "perm (2,1)) 0",  # junk after the notation
-    ] + ["gate X \u0661", "perm (2,1) \u0660"] * unicode))  # Arabic-Indic 1, 0
+    bad = draw(st.sampled_from(bad_circuit_lines(n_wires, unicode)))
     return bad, False
 
 
@@ -96,14 +113,7 @@ def store_line(draw):
     """(line, good) for one body line of a dimension-4 store."""
     if draw(st.booleans()):
         return "template: " + ";".join(identity_word(draw)), True
-    bad = draw(st.sampled_from([
-        "template:", "template: (2,1,3,4)",  # missing tokens
-        "(1,2,4,3);(1,2,4,3)", "templates dim=4",  # no prefix, second header
-        "template: (1,1,3,4);(1,1,3,4)", "template: (2,1,3,x);(2,1,3,4)",
-        "template: (1,2,4,3);;(1,2,4,3)",  # bad one-line notation
-        "template: (2,1);(2,1)", "template: (2,3,1);(3,1,2)",  # dimension
-        "template: (2,1,3,4);(1,2,4,3)",  # does not compose to the identity
-    ]))
+    bad = draw(st.sampled_from(BAD_STORE_LINES))
     return bad, False
 
 
@@ -173,6 +183,71 @@ def test_parse_store_names_the_first_bad_line(case, newline):
         twin = parse_store(case[0])
         assert got.templates == twin.templates
         assert format_store(got) == format_store(twin)
+
+
+# what each bad line raises on line 2 of a 2-wire circuit or an S_4 store
+CIRCUIT_MESSAGES = {
+    "gate": "missing gate name",
+    "gate X": "gate X needs 1 wires, got 0",
+    "perm": "missing one-line notation after 'perm'",
+    "perm (2,1)": "gate X needs 1 wires, got 0",
+    "perm 2,1 0": "missing one-line notation after 'perm'",
+    "gate X zero": "bad wire index 'zero'",
+    "gate X 0.5": "bad wire index '0.5'",
+    "perm (2,1) w0": "bad wire index 'w0'",
+    "gate X 1_0": "bad wire index '1_0'",
+    "gate X +1": "bad wire index '+1'",
+    "gate X 0x1": "bad wire index '0x1'",
+    "perm (2,1) +0": "bad wire index '+0'",
+    "gate X 2": "wire 2 out of range 0..1",
+    "gate X -1": "bad wire index '-1'",
+    "gate CNOT 0 0": "repeated wire in (0, 0)",
+    "perm (1,2,4,3) 1 1": "repeated wire in (1, 1)",
+    "qubits 2": "unknown directive 'qubits'",
+    "perm (2,3,1) 0 1": "gate dimension 3 is not a power of two >= 2",
+    "perm (1) 0": "gate dimension 1 is not a power of two >= 2",
+    "perm (2,1) 0 1": "gate X needs 1 wires, got 2",
+    "gate TOFFOLI 0": "gate TOFFOLI needs 3 wires, got 1",
+    "perm (1,1) 0": "duplicate entry '1'",
+    "perm (3,1) 0": "entry '3' out of range 1..2",
+    "perm (2,x) 0": "expected positive integer, got 'x'",
+    "perm () 0": "empty one-line notation '()'",
+    "gate NOT 0": "unknown gate 'NOT'",
+    "apply X 0": "unknown directive 'apply'",
+    "perm x(2,1) 0": "missing one-line notation after 'perm'",
+    "perm 5 (2,1) 0": "missing one-line notation after 'perm'",
+    "perm (2,1)0": "expected whitespace after the one-line notation",
+    "perm (2,1)) 0": "expected whitespace after the one-line notation",
+    "gate X \u0661": "bad wire index '\u0661'",
+    "perm (2,1) \u0660": "bad wire index '\u0660'",
+}
+STORE_MESSAGES = {
+    "template:": "expected parenthesized list, got ''",
+    "template: (2,1,3,4)": "template needs at least 2 gates",
+    "(1,2,4,3);(1,2,4,3)":
+        "expected 'template:' line, got '(1,2,4,3);(1,2,4,3)'",
+    "templates dim=4": "expected 'template:' line, got 'templates dim=4'",
+    "template: (1,1,3,4);(1,1,3,4)": "duplicate entry '1'",
+    "template: (2,1,3,x);(2,1,3,4)": "expected positive integer, got 'x'",
+    "template: (1,2,4,3);;(1,2,4,3)": "expected parenthesized list, got ''",
+    "template: (2,1);(2,1)": "gate dimension differs from dim=4",
+    "template: (2,3,1);(3,1,2)": "gate dimension differs from dim=4",
+    "template: (2,1,3,4);(1,2,4,3)":
+        "template does not compose to identity: (2,1,3,4);(1,2,4,3)",
+}
+
+
+@pytest.mark.parametrize("parse, header, messages, line", [
+    (parse_circuit, "qubits 2", CIRCUIT_MESSAGES, line)
+    for line in bad_circuit_lines(2, True)] + [
+    (parse_store, "templates dim=4", STORE_MESSAGES, line)
+    for line in BAD_STORE_LINES])
+def test_each_bad_line_raises_its_own_message(parse, header, messages, line):
+    """The grammars above seldom make a given bad line the first bad one of
+    a file; here each is, on line 2 after a good header."""
+    with pytest.raises(FileFormatError) as info:
+        parse(f"{header}\n{line}\n")
+    assert str(info.value) == f"line 2: {messages[line]}"
 
 
 def cli_cases(tmp, circuit_case, store_case):

@@ -12,6 +12,7 @@ so that library index order is not image order.
 """
 
 import collections
+import functools
 import hashlib
 import random
 import sys
@@ -33,7 +34,7 @@ from permgate.circuit import (
     OptimizeReport,
     optimize,
 )
-from permgate.errors import FileFormatError
+from permgate.errors import FileFormatError, WiringError
 from permgate.perm import Permutation, _product, enumerate_permutations
 from permgate.templates import (
     GateLibrary,
@@ -412,6 +413,33 @@ def test_optimize_builds_one_circuit_per_call(blocks, monkeypatch):
     assert len(built) == 1
 
 
+def test_optimize_checks_no_wire_again(monkeypatch):
+    # every gate optimize returns comes from a checked circuit or from a
+    # rewrite on a checked window's wires; a Circuit built by hand is
+    # still checked
+    store = generate_templates(GateLibrary.symmetric_group(4), 3)
+    b = Gate(Permutation.from_one_line("(4,1,3,2)"))
+    circuit = Circuit(3, [GateInstance(b, (0, 1)), GateInstance(b, (0, 1)),
+                          GateInstance(BUILTIN_GATES["X"], (2,)),
+                          GateInstance(BUILTIN_GATES["X"], (2,)),
+                          GateInstance(BUILTIN_GATES["CNOT"], (2, 1))] * 3)
+    checked = []
+    check = Circuit._check_wires
+
+    def counting_check(self, wires):
+        checked.append(wires)
+        check(self, wires)
+
+    monkeypatch.setattr(Circuit, "_check_wires", counting_check)
+    optimized, report = optimize(circuit, store)
+    assert report.template_rewrites > 0 and report.cancelled_gates > 0
+    assert checked == []
+    assert Circuit(3, optimized.gates) == optimized
+    assert len(checked) == len(optimized)
+    with pytest.raises(WiringError):
+        Circuit(2, optimized.gates)
+
+
 def calls_into_permgate(fn):
     """fn's result, and how often each permgate function ran during it."""
     src = str(Path(permgate.__file__).parent)
@@ -522,6 +550,54 @@ def test_scan_lookup_on_a_degenerate_hand_written_store():
     for text in [DEGENERATE_STORE] + [shuffled(DEGENERATE_STORE, rng)
                                       for _ in range(3)]:
         assert_scan_matches_forward_walk(parse_store(text))
+
+
+
+# Gate (4,1,2,3) is only in the last 4-gate and the last 3-gate line, so
+# each length's lookup is complete only after its last line.
+LAST_LINE_STORE = """templates dim=4
+template: (2,1,3,4);(3,1,4,2);(1,3,4,2);(3,4,1,2)
+template: (4,1,2,3);(1,3,4,2);(4,1,2,3);(1,3,4,2)
+template: (4,3,1,2);(2,4,1,3);(4,2,1,3)
+template: (4,2,1,3);(4,1,2,3);(4,3,1,2)
+"""
+
+# (4,1,3,2) is here but not its inverse (2,4,3,1), and the 5-gate line
+# keys some of first[3] before the 4-gate line is read: the keys still
+# missing there are inverses of the 4-gate line's gates, not its gates.
+NOT_INVERSE_CLOSED_STORE = """templates dim=4
+template: (2,3,4,1);(2,1,4,3);(1,3,4,2);(2,1,3,4);(1,4,2,3)
+template: (4,2,3,1);(4,1,3,2);(4,2,3,1);(4,1,3,2)
+"""
+
+
+def test_scan_lookup_keys_the_last_line_of_each_length():
+    store = parse_store(LAST_LINE_STORE)
+    assert len(store) == 4
+    assert_scan_matches_forward_walk(store)
+
+
+def test_scan_lookup_on_a_store_not_closed_under_inverses():
+    store = parse_store(NOT_INVERSE_CLOSED_STORE)
+    gates = {g for t in store.templates for g in t.gates}
+    assert {g.inverse() for g in gates} != gates
+    assert_scan_matches_forward_walk(store)
+
+
+@functools.cache
+def s4_max4_lines():
+    text = format_store(generate_templates(GateLibrary.symmetric_group(4), 4))
+    return text.splitlines()[1:]
+
+
+@SETTINGS
+@given(data=st.data())
+def test_scan_lookup_on_shuffled_subsets_of_a_store(data):
+    lines = data.draw(st.lists(st.sampled_from(s4_max4_lines()), min_size=1,
+                               max_size=60, unique=True))
+    lines = data.draw(st.permutations(lines))
+    assert_scan_matches_forward_walk(
+        parse_store("\n".join(["templates dim=4"] + lines) + "\n"))
 
 
 # --- byte identity ----------------------------------------------------------

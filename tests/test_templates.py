@@ -1,8 +1,11 @@
+import functools
 import itertools
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permgate import gatetable
 from permgate.circuit import Circuit, Gate, GateInstance, optimize
@@ -67,6 +70,12 @@ def identity_words_up_to_3(library):
 
 def s4_library():
     return GateLibrary.symmetric_group(4)
+
+
+@functools.cache
+def s4_max4_lines():
+    text = format_store(generate_templates(s4_library(), 4))
+    return text.splitlines()[1:]
 
 
 class TestGateLibrary:
@@ -397,6 +406,33 @@ class TestStoreFiles:
         loaded = parse_store(format_store(store))
         assert len(loaded) == len(store)
         assert len(calls) == len(store)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_loader_keeps_the_first_line_of_each_symmetry_class(self, data):
+        # lines of the S_4 max 4 store, rotated and reversed-inverse copies
+        # of some of them, shuffled: each class keeps its first line
+        words = [tuple(map(Permutation.from_one_line,
+                           line[len("template: "):].split(";")))
+                 for line in data.draw(st.lists(st.sampled_from(
+                     s4_max4_lines()), min_size=1, max_size=40))]
+        for word in data.draw(st.lists(st.sampled_from(words), max_size=40)):
+            r = data.draw(st.integers(0, len(word) - 1))
+            word = word[r:] + word[:r]
+            if data.draw(st.booleans()):
+                word = tuple(g.inverse() for g in reversed(word))
+            words.append(word)
+        words = data.draw(st.permutations(words))
+        text = "templates dim=4\n" + "".join(
+            "template: " + ";".join(g.one_line() for g in w) + "\n"
+            for w in words)
+        store = parse_store(text)
+        kept = {}
+        for word in words:
+            kept.setdefault(canonical_word(word), word)
+        assert [t.gates for t in store.templates] == list(kept.values())
+        assert store._rotations == {w[k:] + w[:k] for w in store._words
+                                    for k in range(len(w))}
 
     def test_loader_rejects_bad_header(self):
         with pytest.raises(FileFormatError, match="line 1"):
