@@ -127,31 +127,38 @@ def _write_blocks(m, tokens, skip, write) -> int:
     the order of permutations(range(k)).  So every block is one template
     translated to the block's points.  The template marks the last
     min(m, 9) entries of a line, all of it when every token is one digit;
-    its mark "p" is replaced by the text of the other entries whenever
-    that text changes (once, by "(", when m <= 9).  A token of two or more
-    digits is translated to a one-character stand-in, which keeps
-    translate on its ASCII fast path, and then expanded by one replace.
-    A skipped line is cut from its block by a forward search, since every
-    line has the same width.  No Permutation is built and no Python code
+    it is joined in C: a lead of "p" and the marked prefix entries, then
+    each tail of marks from permutations, ",".join-ed.  Its mark "p" is
+    replaced by the text of the other entries whenever that text changes
+    (once, by "(", when m <= 9).  A token of two or more digits is
+    translated to a one-character stand-in, which keeps translate on its
+    ASCII fast path, and then expanded by one replace.  Every line has
+    the same width, so a skipped image's line starts at width times the
+    position, in permutations(range(k)), of its tail written as the ranks
+    of its values among the block's tail points; one table, built on the
+    first skip, maps those ranks to the offset, and the kept slices are
+    joined once per block.  No Permutation is built and no Python code
     runs per line.
     """
     k = min(m, ENUMERATE_TAIL)
     j = m - k  # entries in a block's prefix
     marks, stand_ins = "abcdefghi"[:m], "ABCDEFGHI"
     fixed = m - len(marks)  # leading entries that the template does not mark
-    template = "".join(
-        "p" + ",".join(marks[:j - fixed] + "".join(tail)) + ")\n"
-        for tail in itertools.permutations(marks[j - fixed:]))
+    lead = "p" + "".join(mark + "," for mark in marks[:j - fixed])
+    template = lead + (")\n" + lead).join(
+        map(",".join, itertools.permutations(marks[j - fixed:]))) + ")\n"
     width = sum(map(len, tokens)) + m + 2  # every line holds every token
     count = 0
     nxt = next(skip, None)
+    offsets = None  # tail ranks -> the line's offset in its block
     head = None
     for prefix in itertools.permutations(range(m), j):
         if prefix[:fixed] != head:
             head = prefix[:fixed]
             body = template.replace(
                 "p", "(" + "".join(tokens[v] + "," for v in head))
-        points = prefix[fixed:] + tuple(v for v in range(m) if v not in prefix)
+        tail = tuple(v for v in range(m) if v not in prefix)
+        points = prefix[fixed:] + tail
         block = body.translate(str.maketrans(marks, "".join(
             tokens[v] if len(tokens[v]) == 1 else stand_ins[i]
             for i, v in enumerate(points))))
@@ -159,11 +166,13 @@ def _write_blocks(m, tokens, skip, write) -> int:
             if len(tokens[v]) > 1:
                 block = block.replace(stand_ins[i], tokens[v])
         if nxt is not None and nxt[:j] == prefix:
+            if offsets is None:
+                offsets = dict(zip(itertools.permutations(range(k)),
+                                   range(0, len(block), width)))
+            rank = dict(zip(tail, range(k))).__getitem__
             pieces, start = [], 0
             while nxt is not None and nxt[:j] == prefix:
-                at = block.find(
-                    "(" + ",".join(map(tokens.__getitem__, nxt)) + ")\n",
-                    start)
+                at = offsets[tuple(map(rank, nxt[j:]))]
                 pieces.append(block[start:at])
                 start = at + width
                 nxt = next(skip, None)

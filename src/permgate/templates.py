@@ -366,7 +366,7 @@ class _RewriteScan:
 
     def __init__(self, store: TemplateStore):
         self.table = table = store._table
-        self.ranked = sorted(store._words, key=lambda w: -len(w))
+        self.ranked = sorted(store._words, key=len, reverse=True)
         self.longest = len(self.ranked[0]) if self.ranked else 0
         self.first: list[dict[int, tuple[int, int]]] = [
             {} for _ in range(self.longest + 1)]

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import decimal
 import functools
+import hashlib
 import io
 import itertools
 import math
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -96,6 +98,57 @@ class WriteRecorder:
 
     def flush(self):
         pass
+
+
+class CountingSink:
+    """A stdout stand-in that keeps only the number of lines written."""
+
+    def __init__(self):
+        self.lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class HashingSink:
+    """A stdout stand-in that keeps only the sha256 of the text written."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text):
+        self.sha256.update(text.encode("ascii"))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@st.composite
+def skipped_lines(draw):
+    """(m, the sorted line numbers of a subset of S_m's listing), m in
+    1..8; the subset may hold a block's first line, its last line, two
+    adjacent lines, a whole block, or every line."""
+    m = draw(st.integers(1, 8))
+    total, block = math.factorial(m), math.factorial(min(m, cli.ENUMERATE_TAIL))
+    skipped = set(draw(st.lists(st.integers(0, total - 1), max_size=12)))
+    start = block * draw(st.integers(0, total // block - 1))
+    if draw(st.booleans()):
+        skipped.add(start)
+    if draw(st.booleans()):
+        skipped.add(start + block - 1)
+    if total > 1 and draw(st.booleans()):
+        line = draw(st.integers(0, total - 2))
+        skipped.update((line, line + 1))
+    if draw(st.integers(0, 5)) == 0:
+        skipped.update(range(start, start + block))
+    if draw(st.integers(0, 9)) == 0:
+        skipped.update(range(total))
+    return m, sorted(skipped)
 
 
 class TestParser:
@@ -401,6 +454,78 @@ class TestEnumerate:
         _, first, _ = run(capsys, "enumerate", "--dimension", "3")
         _, second, _ = run(capsys, "enumerate", "--dimension", "3")
         assert first == second
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=skipped_lines())
+    def test_any_sorted_skip_is_cut_line_for_line(self, case):
+        m, skipped = case
+        images = list(itertools.permutations(range(m)))
+        lines = listing_oracle(m, "all").splitlines(keepends=True)
+        recorder = WriteRecorder()
+        tokens = [str(v + 1) for v in range(m)]
+        count = cli._write_blocks(m, tokens, map(images.__getitem__, skipped),
+                                  recorder.write)
+        kept = set(range(len(lines))).difference(skipped)
+        want = "".join(lines[i] for i in sorted(kept))
+        assert first_difference("".join(recorder.writes), want) is None
+        assert count == len(kept)
+        # one write per block, an emptied block included
+        assert len(recorder.writes) == math.factorial(m) // math.factorial(
+            min(m, cli.ENUMERATE_TAIL))
+
+    def test_skips_two_digit_lines_at_block_ends(self):
+        # S_10's first two blocks, less the first and last line of each
+        block = cli.ENUMERATE_BLOCK
+        images = list(itertools.islice(itertools.permutations(range(10)),
+                                       2 * block))
+        skipped = [0, block - 1, block, 2 * block - 1]
+        recorder = WriteRecorder(limit=2)
+        tokens = [str(v + 1) for v in range(10)]
+        with pytest.raises(WriteRecorder.Stopped):
+            cli._write_blocks(10, tokens, map(images.__getitem__, skipped),
+                              recorder.write)
+        lines = listing_head(10, "all", 2 * block).splitlines(keepends=True)
+        for i in reversed(skipped):
+            del lines[i]
+        assert [text.count("\n") for text in recorder.writes] == [block - 2] * 2
+        assert first_difference("".join(recorder.writes), "".join(lines)) is None
+
+    @pytest.mark.parametrize("which, digest", [
+        ("all",
+         "9cc3c3daa0a45780a3df0f9ffc7ca15a21e4e4ac27a6acc1907f308d933ccdc8"),
+        ("involution",
+         "bbbfbf676c30fe7c32e04471b8d4f29f8be54e64f4289fa84f56ae6292543f58"),
+        ("non-involution",
+         "cbc85d60061a93901102c0c8b225ab5d444c64010bbed031beee7a1dad5e5ce9"),
+    ])
+    def test_dimension_nine_listing_bytes(self, monkeypatch, which, digest):
+        sink = HashingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(["enumerate", "--dimension", "9", "--filter", which]) == 0
+        assert sink.sha256.hexdigest() == digest
+
+    @pytest.mark.parametrize("which, limit", [
+        ("non-involution", 2_000_000), ("all", 1_000_000)])
+    def test_dimension_nine_listing_memory_is_bounded(
+            self, capsys, monkeypatch, which, limit):
+        # a materialised listing (over 6 MB) would show; only non-involution
+        # builds the table of line offsets (about 0.8 MB).  A small run
+        # first builds the parser and imports what the command imports, so
+        # the peak is the listing's alone.
+        sink = CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(["enumerate", "--dimension", "3", "--filter", which]) == 0
+        capsys.readouterr()
+        sink.lines = 0
+        tracemalloc.start()
+        try:
+            assert main(["enumerate", "--dimension", "9",
+                         "--filter", which]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == f"count={sink.lines}\n"
+        assert peak < limit
 
 
 class TestClassify:
