@@ -176,6 +176,24 @@ class TestParser:
         assert exc.value.code == 2
         assert run(capsys, "stats", "--qubits", "2")[0] == 0
 
+    @pytest.mark.parametrize("argv, line", [
+        (["stats", "--qubits", "0"], "--qubits must be >= 1"),
+        (["stats", "--qubits", "2", "--decimals", "51"],
+         "--decimals must be in 0..50"),
+        (["classify", "--qubits", "0"], "--qubits must be >= 1"),
+        (["classify", "--qubits", "2", "--decimals", "51"],
+         "--decimals must be in 0..50"),
+        (["optimize", "--circuit", "a.circ", "--out", "b.circ",
+          "--budget", "-1"], "--budget must be >= 0"),
+    ])
+    def test_usage_error_line(self, capsys, argv, line):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"\npermgate: error: {line}\n")
+
     def test_budget_default_survives_an_explicit_budget(self):
         parser = cli._build_parser()
         base = ["optimize", "--circuit", "a.circ", "--out", "b.circ"]
@@ -772,6 +790,23 @@ class TestOptimize:
         assert run(capsys, *argv) == (
             1, "", "error: store dimension 6 is not a power of two; it can "
                    "never match a window of qubit gates\n")
+        assert not out_path.exists()
+
+    def test_non_equivalent_result_writes_nothing(self, capsys, tmp_path,
+                                                  monkeypatch):
+        def wrong(circ, store=None, budget=0):
+            extra = circuit.GateInstance(circuit.BUILTIN_GATES["X"], (0,))
+            report = circuit.OptimizeReport(len(circ), len(circ) + 1, 0, 0)
+            return circuit.Circuit(circ.n_wires, circ.gates + (extra,)), report
+
+        monkeypatch.setattr(circuit, "optimize", wrong)
+        path, out_path = tmp_path / "c.circ", tmp_path / "o.circ"
+        path.write_text("qubits 1\ngate X 0\n")
+        code, out, err = run(capsys, "optimize", "--circuit", str(path),
+                             "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == ("internal error: optimized circuit is not equivalent; "
+                       "no output written\n")
         assert not out_path.exists()
 
     def test_missing_file_exit_one(self, capsys, tmp_path):

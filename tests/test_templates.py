@@ -216,6 +216,12 @@ class TestTwoGateTemplates:
             u, v = t.gates
             assert v == u.inverse()
 
+    def test_missing_inverse_is_closure_error(self):
+        lib = GateLibrary(3, [("c", Permutation([1, 2, 0]))])
+        with pytest.raises(ClosureError,
+                           match="^inverse of 'c' is not in the library$"):
+            two_gate_templates(lib)
+
 
 class TestExpandTemplate:
     def test_count_and_verify(self):
@@ -238,6 +244,21 @@ class TestExpandTemplate:
         lib = GateLibrary.symmetric_group(2)
         with pytest.raises(IndexError):
             expand_template(two_gate_templates(lib)[1], 2, lib)
+
+    def test_dimension_mismatch(self):
+        x = Permutation([1, 0])
+        with pytest.raises(DimensionError, match="^template dimension 2 != "
+                                                 "library dimension 4$"):
+            expand_template(Template((x, x)), 0, s4_library())
+
+    def test_factor_outside_the_library_is_closure_error(self):
+        # with u = c, the factor v = c * c^-1 is the identity, not in {c}
+        c = Permutation([1, 2, 0])
+        lib = GateLibrary(3, [("c", c)])
+        with pytest.raises(ClosureError, match=r"^factor \(1,2,3\) of "
+                                               r"\(3,1,2\) is not in the "
+                                               r"library$"):
+            expand_template(Template((c, c.inverse())), 0, lib)
 
 
 class TestTemplate:
@@ -303,6 +324,20 @@ class TestTemplateStore:
         x = Permutation([1, 0])
         with pytest.raises(DimensionError):
             store.add(Template((x, x)))
+
+    def test_contains_up_to_symmetry(self):
+        # a 3-cycle, a transposition, and the transposition closing the word
+        a, b = Permutation([1, 2, 0]), Permutation([1, 0, 2])
+        word = (a, b, (b * a).inverse())
+        store = TemplateStore(3)
+        store.add(Template(word))
+        assert Template(word) in store
+        assert Template(word[1:] + word[:1]) in store
+        assert Template(tuple(g.inverse() for g in reversed(word))) in store
+        assert Template((a, a, a)) not in store
+        x = Permutation([1, 0])
+        assert Template((x, x)) not in store
+        assert len(store) == 1
 
     def test_subsumption_detection(self):
         lib = GateLibrary.symmetric_group(3)
