@@ -69,23 +69,13 @@ class Gate:
         return _BUILTIN_NAMES.get(self.perm)
 
 
-def _control_gate(n_qubits: int, controls: int, flip) -> Permutation:
-    """Permutation applying `flip` to the low bits when all of the
-    `controls` top bits are set; qubit 0 is the top index bit."""
-    size = 2 ** n_qubits
-    mask = ((1 << controls) - 1) << (n_qubits - controls)
-    images = [flip(x) if x & mask == mask else x for x in range(size)]
-    return Permutation(images)
-
-
 _BUILTIN_NAMES: dict[Permutation, str] = {
-    Permutation.identity(2): "I",
-    Permutation([1, 0]): "X",
-    Permutation([0, 2, 1, 3]): "SWAP",
-    _control_gate(2, 1, lambda x: x ^ 1): "CNOT",
-    _control_gate(3, 2, lambda x: x ^ 1): "TOFFOLI",
-    _control_gate(3, 1, lambda x: (x & 0b100) | (x & 1) << 1 | (x >> 1 & 1)):
-        "FREDKIN",
+    Permutation((0, 1)): "I",
+    Permutation((1, 0)): "X",
+    Permutation((0, 2, 1, 3)): "SWAP",
+    Permutation((0, 1, 3, 2)): "CNOT",
+    Permutation((0, 1, 2, 3, 4, 5, 7, 6)): "TOFFOLI",
+    Permutation((0, 1, 2, 3, 4, 6, 5, 7)): "FREDKIN",
 }
 
 BUILTIN_GATES: dict[str, Gate] = {

@@ -101,11 +101,15 @@ def _digits(n: int) -> str:
     return str(decimal.Decimal(n))
 
 
-def _cmd_stats(args, parser) -> int:
+def _check_census_args(args, parser) -> None:
     if args.qubits < 1:
         parser.error("--qubits must be >= 1")
     if not 0 <= args.decimals <= counting.MAX_DECIMALS:
         parser.error(f"--decimals must be in 0..{counting.MAX_DECIMALS}")
+
+
+def _cmd_stats(args, parser) -> int:
+    _check_census_args(args, parser)
     total, hermitian = counting.census(args.qubits, args.force)
     ratio = Fraction(total - hermitian, total)
     print(f"qubits={args.qubits}")
@@ -211,10 +215,7 @@ def _cmd_enumerate(args, parser) -> int:
 
 
 def _cmd_classify(args, parser) -> int:
-    if args.qubits < 1:
-        parser.error("--qubits must be >= 1")
-    if not 0 <= args.decimals <= counting.MAX_DECIMALS:
-        parser.error(f"--decimals must be in 0..{counting.MAX_DECIMALS}")
+    _check_census_args(args, parser)
     report = classify_all(args.qubits, force=args.force)
     print(f"qubits={report.n_qubits}")
     print(f"total={_digits(report.total)}")

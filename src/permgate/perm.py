@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 import itertools
+import sys
 
 from .errors import DimensionError, NotationError, _is_digits, check_cap
 
@@ -63,16 +64,14 @@ class Permutation:
             raise NotationError("empty one-line notation '()'")
         size = len(tokens)
         images = [-1] * size
-        seen = set()
         for pos, tok in enumerate(tokens):
             if not _is_digits(tok):
                 raise NotationError(f"expected positive integer, got {tok!r}")
             entry = int(tok)
             if not 1 <= entry <= size:
                 raise NotationError(f"entry {tok!r} out of range 1..{size}")
-            if entry in seen:
+            if images[entry - 1] != -1:
                 raise NotationError(f"duplicate entry {tok!r}")
-            seen.add(entry)
             # entry k at 1-based position i: input k-1 goes to output i-1
             images[entry - 1] = pos
         return cls(images)
@@ -164,11 +163,13 @@ def _product(perms: Iterable[Permutation], size: int) -> Permutation:
 
 def check_enumeration_cap(size: int, force: bool = False) -> None:
     """Refuse size > ENUMERATION_CAP (12! and beyond is past desk scale)
-    unless force is set."""
+    unless force is set, and size > sys.maxsize even then."""
     if size < 1:
         raise DimensionError(f"invalid dimension {size}; must be >= 1")
     check_cap(size > ENUMERATION_CAP, force, f"enumeration of S_{size}",
               f"{ENUMERATION_CAP} ({ENUMERATION_CAP}! permutations)")
+    if size > sys.maxsize:  # no str or list can hold a line that long
+        raise DimensionError(f"S_{size} has more than sys.maxsize points")
 
 
 def enumerate_permutations(size: int, force: bool = False) -> Iterator[Permutation]:

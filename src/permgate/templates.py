@@ -253,7 +253,7 @@ class TemplateStore:
     Templates are held as index words over the store's gate table, which
     is what every check, the store file and the rewrite scan read;
     ``templates`` (and iteration) gives them as Template objects, in the
-    same order, built on first use.
+    same order, in a new list on each access.
     """
 
     def __init__(self, dimension: int):
@@ -264,17 +264,12 @@ class TemplateStore:
         self._table = GateTable(dimension)
         self._words: list[tuple[int, ...]] = []
         self._rotations: set[tuple[int, ...]] = set()  # of all stored words
-        self._templates: list[Template] = []
 
     @property
     def templates(self) -> list[Template]:
-        made = self._templates
-        if len(made) < len(self._words):
-            perms = self._table.perms
-            made = self._templates = made + [
-                Template(tuple([perms[i] for i in word]))
-                for word in self._words[len(made):]]
-        return made
+        perms = self._table.perms
+        return [Template(tuple([perms[i] for i in word]))
+                for word in self._words]
 
     def __len__(self) -> int:
         return len(self._words)

@@ -10,6 +10,7 @@ import contextlib
 import io
 import itertools
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,8 +19,9 @@ from hypothesis import strategies as st
 from permgate.circuit import Circuit
 from permgate.cli import main
 from permgate.counting import census
-from permgate.errors import CapExceeded
-from permgate.perm import enumerate_permutations
+from permgate.errors import CapExceeded, DimensionError
+from permgate.perm import (check_enumeration_cap, enumerate_permutations,
+                           involutions)
 from permgate.templates import GateLibrary, multiplication_table
 
 OVERRIDE = "; pass force=True (--force on the command line) to override"
@@ -137,3 +139,29 @@ def test_optimize_and_verify_refuse_wide_circuits(workdir, n):
     assert not out.exists()
     assert_refused(run("verify", "--circuit", str(path), "--circuit",
                        str(path)), code=2)
+
+
+@pytest.mark.parametrize("size", [2 ** 63, 10 ** 20])
+def test_enumeration_past_maxsize_is_refused_under_force(size):
+    # no str or list holds a line of more than sys.maxsize entries, so the
+    # listing could never be written; the refusal builds nothing first
+    text = f"S_{size} has more than sys.maxsize points"
+    calls = [check_enumeration_cap,
+             lambda m, force: next(involutions(m, force)),
+             lambda m, force: next(enumerate_permutations(m, force)),
+             GateLibrary.symmetric_group]
+    for call in calls:
+        with pytest.raises(DimensionError) as exc:
+            call(size, True)
+        assert str(exc.value) == text
+    for which in ["all", "involution", "non-involution"]:
+        tracemalloc.start()
+        try:
+            result = run("enumerate", "--dimension", str(size), "--force",
+                         "--filter", which)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_one_error_line(result)
+        assert result[2] == f"error: {text}\n"
+        assert peak < 2 ** 20

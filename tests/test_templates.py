@@ -326,7 +326,8 @@ class TestTemplateStore:
             store.add(Template((x, x)))
 
     def test_contains_up_to_symmetry(self):
-        # a 3-cycle, a transposition, and the transposition closing the word
+        # a 3-cycle, a transposition, and the transposition closing the
+        # word; the reversed inverse holds a^-1, so it is no rotation
         a, b = Permutation([1, 2, 0]), Permutation([1, 0, 2])
         word = (a, b, (b * a).inverse())
         store = TemplateStore(3)
@@ -516,6 +517,12 @@ class TestStoreFiles:
         text = ("templates dim=2\n"
                 "# a comment\n"
                 "\n"
+                "   # an indented comment\n"
                 "template: (2,1);(2,1)\n")
         store = parse_store(text)
         assert len(store) == 1
+        # a '#' after a line's gates is part of its last gate's text
+        with pytest.raises(FileFormatError) as info:
+            parse_store("templates dim=2\ntemplate: (2,1);(2,1) # x\n")
+        assert str(info.value) == ("line 2: expected parenthesized list, "
+                                   "got '(2,1) # x'")
