@@ -1,105 +1,43 @@
 """Permutation gates on basis indices: exact statistics, identity
 templates, and a semantics-preserving peephole optimizer for reversible
-circuits."""
+circuits.
 
-from .circuit import (
-    BUILTIN_GATES,
-    Circuit,
-    Gate,
-    GateInstance,
-    OptimizeReport,
-    circuit_permutation,
-    equivalent,
-    format_circuit,
-    load_circuit,
-    optimize,
-    parse_circuit,
-    save_circuit,
-)
-from .classify import (
-    Bipartition,
-    CensusReport,
-    bipartitions,
-    classify_all,
-    is_hermitian,
-    is_separable,
-    list_gates,
-    separable_factors,
-)
-from .counting import (
-    involution_count,
-    non_hermitian_fraction,
-    render_percent,
-)
-from .errors import (
-    CapExceeded,
-    ClosureError,
-    DimensionError,
-    FileFormatError,
-    NotationError,
-    PermGateError,
-    WiringError,
-)
-from .perm import Permutation, enumerate_permutations, involutions
-from .templates import (
-    GateLibrary,
-    Template,
-    TemplateStore,
-    expand_template,
-    format_store,
-    generate_templates,
-    load_store,
-    multiplication_table,
-    parse_store,
-    save_store,
-    two_gate_templates,
-)
+`import permgate` loads no submodule: each public name is imported from
+its home module on first access (PEP 562) and then cached here.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_GATES",
-    "Bipartition",
-    "CapExceeded",
-    "CensusReport",
-    "Circuit",
-    "ClosureError",
-    "DimensionError",
-    "FileFormatError",
-    "Gate",
-    "GateInstance",
-    "GateLibrary",
-    "NotationError",
-    "OptimizeReport",
-    "PermGateError",
-    "Permutation",
-    "Template",
-    "TemplateStore",
-    "WiringError",
-    "bipartitions",
-    "circuit_permutation",
-    "classify_all",
-    "enumerate_permutations",
-    "equivalent",
-    "expand_template",
-    "format_circuit",
-    "format_store",
-    "generate_templates",
-    "involution_count",
-    "involutions",
-    "is_hermitian",
-    "is_separable",
-    "list_gates",
-    "load_circuit",
-    "load_store",
-    "multiplication_table",
-    "non_hermitian_fraction",
-    "optimize",
-    "parse_circuit",
-    "parse_store",
-    "render_percent",
-    "save_circuit",
-    "save_store",
-    "separable_factors",
-    "two_gate_templates",
-]
+_HOMES = {
+    "circuit": "BUILTIN_GATES Circuit Gate GateInstance OptimizeReport "
+               "circuit_permutation equivalent format_circuit load_circuit "
+               "optimize parse_circuit save_circuit",
+    "classify": "Bipartition CensusReport bipartitions classify_all "
+                "is_hermitian is_separable list_gates separable_factors",
+    "counting": "involution_count non_hermitian_fraction render_percent",
+    "errors": "CapExceeded ClosureError DimensionError FileFormatError "
+              "NotationError PermGateError WiringError",
+    "perm": "Permutation enumerate_permutations involutions",
+    "templates": "GateLibrary Template TemplateStore expand_template "
+                 "format_store generate_templates load_store "
+                 "multiplication_table parse_store save_store "
+                 "two_gate_templates",
+}
+_HOME = {name: module for module, names in _HOMES.items()
+         for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -35,13 +35,12 @@ import sys
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import (DimensionError, FileFormatError, PermGateError, WiringError,
-                     _int, _read_ascii, check_cap)
+from .errors import (DEFAULT_REWRITE_BUDGET, DimensionError, FileFormatError,
+                     PermGateError, WiringError, _int, _read_ascii, check_cap)
 from .perm import Permutation
 from .templates import TemplateStore, _RewriteScan
 
 WIRE_CAP = 12
-DEFAULT_REWRITE_BUDGET = 10_000
 _SPREAD = bytes.maketrans(b"01", b"\0\1")  # a binary digit to a 0/1 byte
 
 

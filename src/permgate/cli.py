@@ -2,11 +2,13 @@
 
 Subcommands print deterministic text: identical invocations give byte
 identical stdout, diagnostics and summaries go to stderr.  Every printed
-number comes from exact integer/rational arithmetic.
+number comes from exact integer/rational arithmetic.  Each command imports
+the modules it runs, so stats and enumerate never load the optimizer.
 
-Exit codes: 0 success, 1 domain error (caps, parse failures, DIFFER), 2
-usage error.  `verify` is the one command where unreadable inputs are a
-usage error (exit 2), since exit 1 there means "circuits differ".
+Exit codes: 0 success, 1 domain error (caps, parse failures, memory
+exhausted, DIFFER), 2 usage error.  `verify` is the one command where
+unreadable inputs are a usage error (exit 2), since exit 1 there means
+"circuits differ".
 """
 
 from __future__ import annotations
@@ -20,19 +22,10 @@ import sys
 import warnings
 from fractions import Fraction
 
-from . import circuit as circ
 from . import counting
-from .classify import classify_all
 from .counting import render_percent
-from .errors import PermGateError
+from .errors import DEFAULT_REWRITE_BUDGET, PermGateError
 from .perm import check_enumeration_cap, involutions
-from .templates import (
-    MAX_TEMPLATE_SIZE,
-    GateLibrary,
-    generate_templates,
-    load_store,
-    save_store,
-)
 
 # enumerate writes S_m in blocks: the k! lines, k = min(m, ENUMERATE_TAIL),
 # that share their first m - k entries.  Under every filter one write call
@@ -81,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--templates", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--budget", type=int, default=circ.DEFAULT_REWRITE_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_REWRITE_BUDGET)
     p.add_argument("--force", action="store_true",
                    help="override the wire cap")
 
@@ -215,6 +208,7 @@ def _cmd_enumerate(args, parser) -> int:
 
 
 def _cmd_classify(args, parser) -> int:
+    from .classify import classify_all
     _check_census_args(args, parser)
     report = classify_all(args.qubits, force=args.force)
     print(f"qubits={report.n_qubits}")
@@ -231,6 +225,8 @@ def _cmd_classify(args, parser) -> int:
 
 
 def _cmd_templates(args, parser) -> int:
+    from .templates import (MAX_TEMPLATE_SIZE, GateLibrary, generate_templates,
+                            save_store)
     m = args.dimension
     if m < 2 or m & (m - 1):
         parser.error("--dimension must be a power of two >= 2")
@@ -250,6 +246,8 @@ def _cmd_templates(args, parser) -> int:
 
 
 def _cmd_optimize(args, parser) -> int:
+    from . import circuit as circ
+    from .templates import load_store
     if args.budget < 0:
         parser.error("--budget must be >= 0")
     circuit = circ.load_circuit(args.circuit, force=args.force)
@@ -268,6 +266,7 @@ def _cmd_optimize(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    from . import circuit as circ
     if len(args.circuit) != 2:
         parser.error("verify needs exactly two --circuit arguments")
     try:
@@ -305,6 +304,9 @@ def main(argv=None) -> int:
         return handler(args, parser)
     except (PermGateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -677,7 +677,7 @@ class TestTemplates:
     def test_budget_warning_is_one_fixed_line(self, capsys, tmp_path,
                                               monkeypatch):
         # not the warnings module's format, which names the source file
-        monkeypatch.setattr(cli, "generate_templates", functools.partial(
+        monkeypatch.setattr(templates, "generate_templates", functools.partial(
             templates.generate_templates, max_templates=10))
         out_path = tmp_path / "x.tmpl"
         code, out, err = run(capsys, "templates", "--dimension", "4",

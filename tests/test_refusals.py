@@ -3,19 +3,25 @@
 The library raises CapExceeded, naming the cap and the override.  The CLI
 prints that message as one error line, with empty stdout and exit 1 (2 for
 verify, where exit 1 means DIFFER), and never a traceback.  stats and
-classify are bounded by the one census cap, so they refuse alike.
+classify are bounded by the one census cap, so they refuse alike.  A
+forced run past a cap that runs out of memory ends in one error line too.
 """
 
 import contextlib
 import io
 import itertools
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import permgate
 from permgate.circuit import Circuit
 from permgate.cli import main
 from permgate.counting import census
@@ -165,3 +171,33 @@ def test_enumeration_past_maxsize_is_refused_under_force(size):
         assert_one_error_line(result)
         assert result[2] == f"error: {text}\n"
         assert peak < 2 ** 20
+
+
+# Runs the CLI in a child interpreter whose address space is capped, so a
+# run that would allocate without bound hits MemoryError within the cap.
+CAPPED_CHILD = r"""
+import resource, sys
+from permgate import cli
+limit = 256 * 2 ** 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["templates", "--dimension", "4611686018427387904", "--force",
+     "--max-size", "2", "--out", "x.tmpl"],
+    ["enumerate", "--dimension", "3037000500", "--force",
+     "--filter", "involution"],
+])
+def test_forced_run_out_of_memory_is_one_error_line(tmp_path, argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(permgate.__file__).resolve().parents[1]),
+        env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", CAPPED_CHILD, *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert_one_error_line((done.returncode, done.stdout, done.stderr))
+    assert done.stderr == "error: out of memory\n"
+    assert not (tmp_path / "x.tmpl").exists()
