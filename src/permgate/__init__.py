@@ -11,7 +11,7 @@ import importlib
 __version__ = "0.1.0"
 
 _HOMES = {
-    "circuit": "BUILTIN_GATES Circuit Gate GateInstance OptimizeReport "
+    "circuit": "BUILTIN_GATES Circuit GateInstance OptimizeReport "
                "circuit_permutation equivalent format_circuit load_circuit "
                "optimize parse_circuit save_circuit",
     "classify": "Bipartition CensusReport bipartitions classify_all "

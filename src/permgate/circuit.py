@@ -34,64 +34,50 @@ import struct
 import sys
 from dataclasses import dataclass
 from functools import reduce
+from typing import TYPE_CHECKING
 
 from .errors import (DEFAULT_REWRITE_BUDGET, DimensionError, FileFormatError,
                      PermGateError, WiringError, _int, _read_ascii, check_cap)
 from .perm import Permutation
-from .templates import TemplateStore, _RewriteScan
+
+if TYPE_CHECKING:  # optimize imports the template engine only for a store
+    from .templates import TemplateStore, _RewriteScan
 
 WIRE_CAP = 12
 _SPREAD = bytes.maketrans(b"01", b"\0\1")  # a binary digit to a 0/1 byte
 
-
-@dataclass(frozen=True)
-class Gate:
-    """A permutation gate on k qubits; gates are equal exactly when their
-    permutations are, and a gate's name is its permutation's builtin name."""
-
-    perm: Permutation
-
-    def __post_init__(self):
-        size = self.perm.size
-        if size < 2 or size & (size - 1):
-            raise DimensionError(
-                f"gate dimension {size} is not a power of two >= 2"
-            )
-
-    @property
-    def n_qubits(self) -> int:
-        return self.perm.size.bit_length() - 1
-
-    @property
-    def name(self) -> str | None:
-        """The builtin name of the permutation, or None for an inline gate."""
-        return _BUILTIN_NAMES.get(self.perm)
-
-
-_BUILTIN_NAMES: dict[Permutation, str] = {
-    Permutation((0, 1)): "I",
-    Permutation((1, 0)): "X",
-    Permutation((0, 2, 1, 3)): "SWAP",
-    Permutation((0, 1, 3, 2)): "CNOT",
-    Permutation((0, 1, 2, 3, 4, 5, 7, 6)): "TOFFOLI",
-    Permutation((0, 1, 2, 3, 4, 6, 5, 7)): "FREDKIN",
+BUILTIN_GATES: dict[str, Permutation] = {
+    "I": Permutation((0, 1)),
+    "X": Permutation((1, 0)),
+    "SWAP": Permutation((0, 2, 1, 3)),
+    "CNOT": Permutation((0, 1, 3, 2)),
+    "TOFFOLI": Permutation((0, 1, 2, 3, 4, 5, 7, 6)),
+    "FREDKIN": Permutation((0, 1, 2, 3, 4, 6, 5, 7)),
 }
+_BUILTIN_NAMES = {perm: name for name, perm in BUILTIN_GATES.items()}
 
-BUILTIN_GATES: dict[str, Gate] = {
-    name: Gate(perm) for perm, name in _BUILTIN_NAMES.items()
-}
+
+def _qubits(gate: Permutation) -> int:
+    """The k qubits a gate acts on; its size must be 2**k with k >= 1."""
+    size = gate.size
+    if size < 2 or size & (size - 1):
+        raise DimensionError(f"gate dimension {size} is not a power of two >= 2")
+    return size.bit_length() - 1
 
 
 @dataclass(frozen=True)
 class GateInstance:
-    gate: Gate
+    """A gate, its permutation, on wires; the first carries its top bit."""
+
+    gate: Permutation
     wires: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.wires) != self.gate.n_qubits:
+        k = _qubits(self.gate)
+        if len(self.wires) != k:
             raise WiringError(
-                f"gate {self.gate.name or self.gate.perm.one_line()} needs "
-                f"{self.gate.n_qubits} wires, got {len(self.wires)}"
+                f"gate {_BUILTIN_NAMES.get(self.gate) or self.gate.one_line()} "
+                f"needs {k} wires, got {len(self.wires)}"
             )
         if len(set(self.wires)) != len(self.wires):
             raise WiringError(f"repeated wire in {self.wires}")
@@ -178,7 +164,7 @@ def _wire_ints(circuit: Circuit, plans: dict) -> list[int]:
              for w in range(circuit.n_wires)]
     ones = (1 << size) - 1
     for inst in circuit.gates:
-        images = inst.gate.perm.images
+        images = inst.gate.images
         plan = plans.get(images)
         if plan is None:
             plan = plans[images] = _anf_plan(images)
@@ -227,10 +213,10 @@ def _cancel_inverses(gates) -> list[GateInstance]:
         # gates on one wire list have one size, and the pair cancels when the
         # earlier gate maps each image of the later one back to its index
         if (out and out[-1].wires == inst.wires
-                and all(out[-1].gate.perm.images[j] == i
-                        for i, j in enumerate(inst.gate.perm.images))):
+                and all(out[-1].gate.images[j] == i
+                        for i, j in enumerate(inst.gate.images))):
             out.pop()
-        elif not inst.gate.perm.is_identity():  # so out holds no identity
+        elif not inst.gate.is_identity():  # so out holds no identity
             out.append(inst)
     return out
 
@@ -249,20 +235,19 @@ def _template_rewrite(gates: list[GateInstance], scan: _RewriteScan,
     applied = start = 0
     while applied < budget and start < len(gates):
         wires = gates[start].wires
-        perms = [gates[start].gate.perm]  # of the same-wire run from start
+        perms = [gates[start].gate]  # of the same-wire run from start
         if 2 ** len(wires) == dimension:
             for inst in gates[start + 1:start + longest]:
                 if inst.wires != wires:
                     break
-                perms.append(inst.gate.perm)
+                perms.append(inst.gate)
         # a match covers more than half of a template of 2+ gates
         hit = match(perms) if len(perms) > 1 else None
         if hit is None:
             start += 1
             continue
         p, replacement = hit
-        gates[start:start + p] = [GateInstance(Gate(g), wires)
-                                  for g in replacement]
+        gates[start:start + p] = [GateInstance(g, wires) for g in replacement]
         applied += 1
         # a window starting before this reads only gates before `start`,
         # which did not change, and it failed in this scan or an earlier one
@@ -295,6 +280,7 @@ def optimize(
         if store.dimension & (store.dimension - 1):
             raise DimensionError(f"store dimension {store.dimension} is not a power "
                                  f"of two; it can never match a window of qubit gates")
+        from .templates import _RewriteScan
         scan = _RewriteScan(store)
     gates = circuit.gates
     cancelled = 0
@@ -333,11 +319,11 @@ def format_circuit(circuit: Circuit) -> str:
     lines = [f"qubits {circuit.n_wires}"]
     for inst in circuit.gates:
         wires = " ".join(str(w) for w in inst.wires)
-        name = inst.gate.name
+        name = _BUILTIN_NAMES.get(inst.gate)
         if name is not None:
             lines.append(f"gate {name} {wires}")
         else:
-            lines.append(f"perm {inst.gate.perm.one_line()} {wires}")
+            lines.append(f"perm {inst.gate.one_line()} {wires}")
     return "\n".join(lines) + "\n"
 
 
@@ -359,7 +345,7 @@ def _parse_circuits(texts, force: bool) -> list[Circuit]:
     memo only once it has passed every check, so a memo hit is a line that
     parses, and a line that fails is parsed, and named, as if alone."""
     known_by_width: dict[int, dict[str, GateInstance]] = {}
-    inline: dict[str, Gate] = {}
+    inline: dict[str, Permutation] = {}
     circuits = []
     for text in texts:
         header = None  # the 'qubits' line's circuit; it takes the gates
@@ -395,9 +381,10 @@ def _parse_circuits(texts, force: bool) -> list[Circuit]:
                             raise ValueError("expected whitespace after the "
                                              "one-line notation")
                         gate = inline.get(notation)
-                        if gate is None:
-                            gate = inline[notation] = Gate(
-                                Permutation.from_one_line(notation))
+                        if gate is None:  # its size is refused before its wires
+                            gate = Permutation.from_one_line(notation)
+                            _qubits(gate)
+                            inline[notation] = gate
                         tokens = after.split()
                     else:
                         raise ValueError(f"unknown directive {fields[0]!r}")

@@ -247,11 +247,13 @@ def _cmd_templates(args, parser) -> int:
 
 def _cmd_optimize(args, parser) -> int:
     from . import circuit as circ
-    from .templates import load_store
     if args.budget < 0:
         parser.error("--budget must be >= 0")
     circuit = circ.load_circuit(args.circuit, force=args.force)
-    store = load_store(args.templates) if args.templates else None
+    store = None
+    if args.templates:
+        from .templates import load_store
+        store = load_store(args.templates)
     optimized, report = circ.optimize(circuit, store, budget=args.budget)
     if circ.equivalent(optimized, circuit) is not None:
         print("internal error: optimized circuit is not equivalent; "

@@ -14,7 +14,6 @@ import numpy as np
 from permgate.circuit import (
     BUILTIN_GATES,
     Circuit,
-    Gate,
     GateInstance,
     circuit_permutation,
     optimize,
@@ -146,17 +145,17 @@ def test_criterion_6_rearrangement_and_templates():
 
 
 def _random_circuit(rng: random.Random, n_wires: int, length: int) -> Circuit:
-    pool = [g for g in BUILTIN_GATES.values() if g.n_qubits <= n_wires]
+    pool = [g for g in BUILTIN_GATES.values() if g.size <= 2 ** n_wires]
     gates = []
     for _ in range(length):
         if rng.random() < 0.3:
             k = rng.randint(1, min(2, n_wires))
             images = list(range(2 ** k))
             rng.shuffle(images)
-            gate = Gate(Permutation(images))
+            gate = Permutation(images)
         else:
             gate = rng.choice(pool)
-        wires = tuple(rng.sample(range(n_wires), gate.n_qubits))
+        wires = tuple(rng.sample(range(n_wires), gate.size.bit_length() - 1))
         gates.append(GateInstance(gate, wires))
     return Circuit(n_wires, gates)
 

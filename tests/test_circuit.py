@@ -13,7 +13,6 @@ from permgate.circuit import (
     BUILTIN_GATES,
     DEFAULT_REWRITE_BUDGET,
     Circuit,
-    Gate,
     GateInstance,
     OptimizeReport,
     circuit_permutation,
@@ -35,7 +34,7 @@ CNOT = BUILTIN_GATES["CNOT"]
 SWAP = BUILTIN_GATES["SWAP"]
 TOFFOLI = BUILTIN_GATES["TOFFOLI"]
 FREDKIN = BUILTIN_GATES["FREDKIN"]
-B_GATE = Gate(Permutation([1, 3, 2, 0]))  # not self-inverse
+B_GATE = Permutation([1, 3, 2, 0])  # not self-inverse
 
 
 def inst(gate, *wires):
@@ -49,7 +48,7 @@ def propagate(circuit: Circuit, x: int) -> int:
         local = 0
         for t, w in enumerate(gi.wires):
             local |= (x >> w & 1) << (k - 1 - t)
-        mapped = gi.gate.perm(local)
+        mapped = gi.gate(local)
         for t, w in enumerate(gi.wires):
             x = (x & ~(1 << w)) | (mapped >> (k - 1 - t) & 1) << w
     return x
@@ -57,18 +56,18 @@ def propagate(circuit: Circuit, x: int) -> int:
 
 def random_circuit(rng: random.Random, n_wires: int, length: int,
                    force: bool = False) -> Circuit:
-    pool = [g for g in BUILTIN_GATES.values() if g.n_qubits <= n_wires]
+    pool = [g for g in BUILTIN_GATES.values() if g.size <= 2 ** n_wires]
     gates = []
     for _ in range(length):
         if rng.random() < 0.3:
             k = rng.randint(1, min(3, n_wires))
             images = list(range(2 ** k))
             rng.shuffle(images)
-            gate = Gate(Permutation(images))
+            gate = Permutation(images)
         else:
             gate = rng.choice(pool)
-        gates.append(GateInstance(gate, tuple(rng.sample(range(n_wires),
-                                                         gate.n_qubits))))
+        k = gate.size.bit_length() - 1
+        gates.append(GateInstance(gate, tuple(rng.sample(range(n_wires), k))))
     return Circuit(n_wires, gates, force=force)
 
 
@@ -81,9 +80,9 @@ def circuits(draw):
         k = draw(st.integers(1, min(3, n_wires)))
         if draw(st.booleans()):
             gate = draw(st.sampled_from([g for g in BUILTIN_GATES.values()
-                                         if g.n_qubits == k]))
+                                         if g.size == 2 ** k]))
         else:
-            gate = Gate(Permutation(draw(st.permutations(range(2 ** k)))))
+            gate = Permutation(draw(st.permutations(range(2 ** k))))
         wires = tuple(draw(st.permutations(range(n_wires)))[:k])
         gates.append(GateInstance(gate, wires))
     return Circuit(n_wires, gates)
@@ -100,11 +99,11 @@ def circuits_with_identities(draw):
         kind = draw(st.sampled_from(["builtin", "inline", "identity"]))
         if kind == "builtin":
             gate = draw(st.sampled_from([g for g in BUILTIN_GATES.values()
-                                         if g.n_qubits == k]))
+                                         if g.size == 2 ** k]))
         elif kind == "inline":
-            gate = Gate(Permutation(draw(st.permutations(range(2 ** k)))))
+            gate = Permutation(draw(st.permutations(range(2 ** k))))
         else:
-            gate = Gate(Permutation.identity(2 ** k))
+            gate = Permutation.identity(2 ** k)
         if k == 2 and draw(st.booleans()):
             wires = (0, 1)
         else:
@@ -120,12 +119,12 @@ def ref_cancel(gates) -> list[GateInstance]:
     gates = list(gates)
     while True:
         for i, g in enumerate(gates):
-            if g.gate.perm.is_identity():
+            if g.gate.is_identity():
                 del gates[i]
                 break
             nxt = gates[i + 1] if i + 1 < len(gates) else None
             if (nxt is not None and nxt.wires == g.wires
-                    and nxt.gate.perm == g.gate.perm.inverse()):
+                    and nxt.gate == g.gate.inverse()):
                 del gates[i:i + 2]
                 break
         else:
@@ -134,35 +133,35 @@ def ref_cancel(gates) -> list[GateInstance]:
 
 @st.composite
 def round_trip_circuits(draw):
-    """1-4 wires of builtin gates, or Gate of a random 1-3-qubit
-    permutation, a builtin's included."""
+    """1-4 wires of builtin gates, or a random 1-3-qubit permutation, a
+    builtin's included."""
     n_wires = draw(st.integers(1, 4))
     gates = []
     for _ in range(draw(st.integers(0, 8))):
         k = draw(st.integers(1, min(3, n_wires)))
-        builtins = [g for g in BUILTIN_GATES.values() if g.n_qubits == k]
+        builtins = [g for g in BUILTIN_GATES.values() if g.size == 2 ** k]
         if draw(st.booleans()):
             gate = draw(st.sampled_from(builtins))
         else:
             images = draw(st.permutations(range(2 ** k))
-                          | st.sampled_from([g.perm.images for g in builtins]))
-            gate = Gate(Permutation(images))
+                          | st.sampled_from([g.images for g in builtins]))
+            gate = Permutation(images)
         wires = tuple(draw(st.permutations(range(n_wires)))[:k])
         gates.append(GateInstance(gate, wires))
     return Circuit(n_wires, gates)
 
 
-def mixed_gate(draw, n_wires: int) -> Gate:
+def mixed_gate(draw, n_wires: int) -> Permutation:
     """A 1-4-qubit gate that fits n_wires: a builtin (I included), an
     identity, or an inline permutation."""
     k = draw(st.integers(1, min(4, n_wires)))
-    builtins = [g for g in BUILTIN_GATES.values() if g.n_qubits == k]
+    builtins = [g for g in BUILTIN_GATES.values() if g.size == 2 ** k]
     kind = draw(st.sampled_from(["builtin", "identity", "inline"]))
     if kind == "builtin" and builtins:
         return draw(st.sampled_from(builtins))
     if kind == "identity":
-        return Gate(Permutation.identity(2 ** k))
-    return Gate(Permutation(draw(st.permutations(range(2 ** k)))))
+        return Permutation.identity(2 ** k)
+    return Permutation(draw(st.permutations(range(2 ** k))))
 
 
 @st.composite
@@ -182,7 +181,7 @@ def mixed_circuit_pairs(draw):
                 gate = draw(st.sampled_from(out)).gate
             else:
                 gate = mixed_gate(draw, n_wires)
-            out.append(GateInstance(gate, wires(gate.n_qubits)))
+            out.append(GateInstance(gate, wires(gate.size.bit_length() - 1)))
         return out
 
     a = gates()
@@ -191,13 +190,13 @@ def mixed_circuit_pairs(draw):
         b = list(a)
         pos = draw(st.integers(0, len(b) - 1))
         gate = mixed_gate(draw, n_wires)
-        b[pos] = GateInstance(gate, wires(gate.n_qubits))
+        b[pos] = GateInstance(gate, wires(gate.size.bit_length() - 1))
     elif kind == "pair":
         gate = mixed_gate(draw, n_wires)
-        on = wires(gate.n_qubits)
+        on = wires(gate.size.bit_length() - 1)
         pos = draw(st.integers(0, len(a)))
         b = a[:pos] + [GateInstance(gate, on),
-                       GateInstance(Gate(gate.perm.inverse()), on)] + a[pos:]
+                       GateInstance(gate.inverse(), on)] + a[pos:]
     else:
         b = gates()
     return Circuit(n_wires, a), Circuit(n_wires, b)
@@ -205,7 +204,7 @@ def mixed_circuit_pairs(draw):
 
 def two_wire(*texts):
     """A circuit of 2-qubit gates in one-line notation, all on wires 0 1."""
-    return Circuit(2, [inst(Gate(Permutation.from_one_line(t)), 0, 1)
+    return Circuit(2, [inst(Permutation.from_one_line(t), 0, 1)
                        for t in texts])
 
 
@@ -216,7 +215,7 @@ def s4_store():
 
 class TestBuiltins:
     def test_permutations(self):
-        images = {name: g.perm.images for name, g in BUILTIN_GATES.items()}
+        images = {name: g.images for name, g in BUILTIN_GATES.items()}
         assert images == {
             "I": (0, 1),
             "X": (1, 0),
@@ -227,29 +226,35 @@ class TestBuiltins:
         }
 
     def test_cnot_one_line_form(self):
-        assert CNOT.perm.one_line() == "(1,2,4,3)"
+        assert CNOT.one_line() == "(1,2,4,3)"
 
     def test_all_self_inverse(self):
         for g in BUILTIN_GATES.values():
-            assert g.perm.is_involution()
+            assert g.is_involution()
 
     def test_named_gate_recovers_builtin(self):
-        assert Gate(Permutation([0, 2, 1, 3])) == SWAP
+        assert Permutation([0, 2, 1, 3]) == SWAP
 
     def test_builtin_name_follows_permutation(self):
         for name, gate in BUILTIN_GATES.items():
-            assert Gate(gate.perm) == gate
-            assert Gate(gate.perm).name == name
-        assert [f.name for f in dataclasses.fields(Gate)] == ["perm"]
-
-    def test_gate_dimension_must_be_power_of_two(self):
-        with pytest.raises(DimensionError):
-            Gate(Permutation([0, 1, 2]))
-        with pytest.raises(DimensionError):
-            Gate(Permutation([0]))
+            assert type(gate) is Permutation
+            k = gate.size.bit_length() - 1
+            wires = tuple(range(k))  # an equal permutation, not the same one
+            c = Circuit(k, [GateInstance(Permutation(gate.images), wires)])
+            assert format_circuit(c) == \
+                f"qubits {k}\ngate {name} {' '.join(map(str, wires))}\n"
+        fields = [f.name for f in dataclasses.fields(GateInstance)]
+        assert fields == ["gate", "wires"]
 
 
 class TestInstanceAndCircuit:
+    @pytest.mark.parametrize("size", [3, 1])
+    def test_gate_dimension_must_be_power_of_two(self, size):
+        with pytest.raises(DimensionError) as info:
+            GateInstance(Permutation(range(size)), (0,))
+        assert str(info.value) == \
+            f"gate dimension {size} is not a power of two >= 2"
+
     def test_arity_mismatch(self):
         with pytest.raises(WiringError):
             GateInstance(CNOT, (0,))
@@ -286,7 +291,7 @@ class TestInstanceAndCircuit:
 def lift(perm: Permutation, wires, n_wires: int) -> Permutation:
     """The permutation of an n-wire circuit holding one gate on `wires`."""
     return circuit_permutation(
-        Circuit(n_wires, [GateInstance(Gate(perm), tuple(wires))]))
+        Circuit(n_wires, [GateInstance(perm, tuple(wires))]))
 
 
 class TestEmbed:
@@ -414,9 +419,10 @@ class TestEquivalent:
             # a with a cancelling X pair, a random circuit, or a with one
             # more controlled gate, which moves only the indices a sends to
             # where its controls are set
-            g = [X, CNOT, TOFFOLI][min(n, 3) - 1]
+            k = min(n, 3)
+            g = [X, CNOT, TOFFOLI][k - 1]
             tail = ((inst(X, n - 1),) * 2 if trial % 3 == 0
-                    else (inst(g, *rng.sample(range(n), g.n_qubits)),))
+                    else (inst(g, *rng.sample(range(n), k)),))
             b = (random_circuit(rng, n, rng.randint(0, 8)) if trial % 3 == 1
                  else Circuit(n, a.gates + tail))
             expected = next((x for x in range(2 ** n)
@@ -478,12 +484,12 @@ class TestCompiledGates:
         rng = random.Random(13)
         images = list(range(32))
         rng.shuffle(images)
-        wide = Gate(Permutation(images))
+        wide = Permutation(images)
         a = random_circuit(rng, 13, 12, force=True)
         a = Circuit(13, a.gates[:6] + (inst(wide, 12, 3, 0, 7, 9),)
                     + a.gates[6:], force=True)
         # the inverse of the wide gate, on other wires, after the rest
-        b = Circuit(13, a.gates + (inst(Gate(wide.perm.inverse()),
+        b = Circuit(13, a.gates + (inst(wide.inverse(),
                                         1, 11, 5, 0, 8),), force=True)
         images_a = [propagate(a, x) for x in range(2 ** 13)]
         images_b = [propagate(b, x) for x in range(2 ** 13)]
@@ -505,10 +511,11 @@ class TestCompiledGates:
         monkeypatch.setattr(circuit_module, "_anf_plan", counting)
         rng = random.Random(41)
         a = random_circuit(rng, 6, 40)
-        # b repeats a's gates as new Gate objects and adds gates of its own
-        b = Circuit(6, [inst(Gate(gi.gate.perm), *gi.wires) for gi in a.gates]
+        # b repeats a's gates as new Permutation objects and adds its own
+        b = Circuit(6, [inst(Permutation(gi.gate.images), *gi.wires)
+                        for gi in a.gates]
                     + list(random_circuit(rng, 6, 20).gates))
-        distinct = {gi.gate.perm.images for gi in a.gates + b.gates}
+        distinct = {gi.gate.images for gi in a.gates + b.gates}
         assert len(distinct) < len(a) + len(b)  # the count is not trivial
         equivalent(a, b)
         first = sorted(compiled)
@@ -538,7 +545,7 @@ class TestCancelAdjacentInverses:
         assert optimize(c)[0] == c
 
     def test_inverse_pair_cancels(self):
-        b_inv = Gate(B_GATE.perm.inverse())
+        b_inv = B_GATE.inverse()
         c = Circuit(2, [inst(B_GATE, 0, 1), inst(b_inv, 0, 1)])
         assert len(optimize(c)[0]) == 0
 
@@ -551,7 +558,7 @@ class TestCancelAdjacentInverses:
         assert optimize(c)[0] == c
 
     def test_identity_gates_deleted(self):
-        ident = Gate(Permutation.identity(4))
+        ident = Permutation.identity(4)
         c = Circuit(2, [inst(CNOT, 0, 1), inst(ident, 1, 0), inst(CNOT, 0, 1),
                         inst(BUILTIN_GATES["I"], 1)])
         assert len(optimize(c)[0]) == 0
@@ -565,7 +572,7 @@ class TestCancelAdjacentInverses:
         def refuse(p, q):
             raise AssertionError("the cancel pass composed two permutations")
 
-        b_inv = Gate(B_GATE.perm.inverse())
+        b_inv = B_GATE.inverse()
         monkeypatch.setattr(Permutation, "__mul__", refuse)
         c = Circuit(2, [inst(X, 1), inst(B_GATE, 0, 1), inst(CNOT, 1, 0),
                         inst(CNOT, 1, 0), inst(b_inv, 0, 1), inst(X, 1),
@@ -602,10 +609,10 @@ class TestTemplateRewrite:
 
     def test_two_of_three_window(self, s4_store):
         u1, u2, u3 = three_gate_template(s4_store)
-        c = Circuit(2, [inst(Gate(u1), 1, 0), inst(Gate(u2), 1, 0)])
+        c = Circuit(2, [inst(u1, 1, 0), inst(u2, 1, 0)])
         out = rewritten(c, s4_store)
         assert len(out) == 1
-        assert out.gates[0].gate.perm == u3.inverse()
+        assert out.gates[0].gate == u3.inverse()
         assert circuit_permutation(out) == circuit_permutation(c)
 
     def test_full_window_deleted(self, s4_store):
@@ -622,20 +629,20 @@ class TestTemplateRewrite:
 
     def test_wire_tuple_must_match(self, s4_store):
         # the two windows land on different wire tuples, so no rewrite
-        c = Circuit(3, [inst(B_GATE, 0, 1), inst(Gate(B_GATE.perm.inverse()), 0, 2)])
+        c = Circuit(3, [inst(B_GATE, 0, 1), inst(B_GATE.inverse(), 0, 2)])
         assert rewritten(c, s4_store) == c
 
     def test_budget_zero(self, s4_store):
         u1, u2, _ = three_gate_template(s4_store)
-        c = Circuit(2, [inst(Gate(u1), 0, 1), inst(Gate(u2), 0, 1)])
+        c = Circuit(2, [inst(u1, 0, 1), inst(u2, 0, 1)])
         assert rewritten(c, s4_store, budget=0) == c
         assert len(rewritten(c, s4_store, budget=1)) == 1
 
     def test_budget_counts_rewrites(self, s4_store):
         # two windows, on wires (0, 1) and (1, 2), each rewritten to one gate
         u1, u2, _ = three_gate_template(s4_store)
-        c = Circuit(3, [inst(Gate(u1), 0, 1), inst(Gate(u2), 0, 1),
-                        inst(Gate(u1), 1, 2), inst(Gate(u2), 1, 2)])
+        c = Circuit(3, [inst(u1, 0, 1), inst(u2, 0, 1),
+                        inst(u1, 1, 2), inst(u2, 1, 2)])
         partial, report = optimize(c, s4_store, budget=1)
         assert len(partial) == 3
         assert (report.cancelled_gates, report.template_rewrites) == (0, 1)
@@ -674,7 +681,7 @@ class TestTemplateRewrite:
                             "template: (2,4,3,1);(1,4,2,3);(3,4,2,1);(3,4,2,1)\n")
 
         def on(wires, *texts):
-            return [inst(Gate(Permutation.from_one_line(t)), *wires)
+            return [inst(Permutation.from_one_line(t), *wires)
                     for t in texts]
 
         tail = on((1, 0), "(2,4,3,1)", "(2,4,3,1)", "(1,4,2,3)", "(3,2,4,1)")
@@ -777,7 +784,7 @@ class TestOptimize:
             assert len(out) <= len(c)
             assert optimize(out, store) == (out, OptimizeReport(
                 len(out), len(out), 0, 0))
-            assert not any(g.gate.perm.is_identity() for g in out.gates)
+            assert not any(g.gate.is_identity() for g in out.gates)
             assert report.gates_after == len(out)
 
     def test_idempotent(self, s4_store):
@@ -818,20 +825,18 @@ class TestCircuitFiles:
         assert format_circuit(parsed) == text
 
     def test_name_comes_from_the_permutation(self):
-        # a gate takes no name, so none can disagree with its permutation
-        with pytest.raises(TypeError):
-            Gate(Permutation([0, 1]), "X")
-        with pytest.raises(TypeError):
-            Gate(Permutation([1, 0]), "NOT")
-        ident = Circuit(1, [inst(Gate(Permutation([0, 1])), 0)])
+        # a gate is its permutation, so no name can disagree with it
+        ident = Circuit(1, [inst(Permutation([0, 1]), 0)])
         assert format_circuit(ident) == "qubits 1\ngate I 0\n"
         # an X built from its permutation round-trips to an equal circuit
-        x = Circuit(1, [inst(Gate(Permutation([1, 0])), 0)])
+        x = Circuit(1, [inst(Permutation([1, 0]), 0)])
         assert format_circuit(x) == "qubits 1\ngate X 0\n"
         assert parse_circuit(format_circuit(x)) == x
         assert parse_circuit("qubits 1\nperm (2,1) 0\n") == x
-        assert Gate(Permutation([0, 2, 1, 3])).name == "SWAP"
-        assert Gate(Permutation([1, 3, 2, 0])).name is None
+        two = Circuit(2, [inst(Permutation([0, 2, 1, 3]), 0, 1),
+                          inst(Permutation([1, 3, 2, 0]), 0, 1)])
+        assert format_circuit(two) == \
+            "qubits 2\ngate SWAP 0 1\nperm (4,1,3,2) 0 1\n"
 
     def test_format_text(self):
         c = Circuit(2, [inst(CNOT, 0, 1), inst(B_GATE, 1, 0)])
@@ -847,7 +852,7 @@ class TestCircuitFiles:
         c = parse_circuit(text)
         assert c.n_wires == 2
         assert len(c) == 2
-        assert c.gates[1].gate.perm == Permutation([1, 0])
+        assert c.gates[1].gate == Permutation([1, 0])
 
     def test_missing_header(self):
         with pytest.raises(FileFormatError, match="line 1"):

@@ -989,7 +989,7 @@ def valid_circuit_texts(draw):
             wires = " ".join(map(str, draw(st.permutations(range(n_wires)))[:k]))
         if draw(st.booleans()):
             names = sorted(n for n, g in circuit.BUILTIN_GATES.items()
-                           if g.n_qubits == k)
+                           if g.size == 2 ** k)
             lines.append(f"gate {draw(st.sampled_from(names))} {wires}")
         else:
             perm = Permutation(draw(st.permutations(range(2 ** k))))

@@ -2,8 +2,9 @@
 
 `import permgate` loads no submodule.  stats and enumerate load the CLI
 and the census modules (counting, errors, perm) alone; classify adds
-classify, templates adds the template engine (templates, gatetable), and
-the circuit commands (verify, optimize) add circuit.  No command touches
+classify, templates adds the template engine (templates, gatetable), the
+circuit commands (verify, optimize) add circuit, and optimize adds the
+template engine only when it is given a store.  No command touches
 numpy.  Each check runs in a fresh interpreter, since this test process
 may have imported any of these already.
 """
@@ -54,6 +55,8 @@ runs = {
     "verify": ["verify", "--circuit", circuit, "--circuit", circuit],
     "optimize": ["optimize", "--circuit", circuit, "--templates", store,
                  "--out", os.path.join(tmp, "out.circ")],
+    "optimize-no-store": ["optimize", "--circuit", circuit,
+                          "--out", os.path.join(tmp, "out.circ")],
 }
 if names:
     from permgate import cli
@@ -117,8 +120,9 @@ ENGINE = ["permgate.gatetable", "permgate.templates"]
     ("enumerate-involution", []),
     ("classify", ["permgate.classify"]),
     ("templates", ENGINE),
-    ("verify", ["permgate.circuit", *ENGINE]),
+    ("verify", ["permgate.circuit"]),
     ("optimize", ["permgate.circuit", *ENGINE]),
+    ("optimize-no-store", ["permgate.circuit"]),
 ])
 def test_each_command_loads_only_its_modules(tmp_path, name, extra):
     steps, modules = run_child(tmp_path, [name])

@@ -51,6 +51,9 @@ def bad_circuit_lines(n_wires, unicode):
     ] + ["gate X \u0661", "perm (2,1) \u0660"] * unicode  # Arabic-Indic 1, 0
 
 
+# a size that is not a power of two is refused before the wire tokens
+SIZE_BEFORE_WIRES = ["perm (2,3,1) x", "perm (1) zero"]
+
 BAD_STORE_LINES = [
     "template:", "template: (2,1,3,4)",  # missing tokens
     "(1,2,4,3);(1,2,4,3)", "templates dim=4",  # no prefix, second header
@@ -69,14 +72,15 @@ def circuit_line(draw, n_wires, unicode):
         k = draw(st.integers(1, min(3, n_wires)))
         wires = " ".join(map(str, draw(st.permutations(range(n_wires)))[:k]))
         if draw(st.booleans()):
-            names = [n for n, g in BUILTIN_GATES.items() if g.n_qubits == k]
+            names = [n for n, g in BUILTIN_GATES.items() if g.size == 2 ** k]
             line = f"gate {draw(st.sampled_from(names))} {wires}"
         else:
             perm = Permutation(draw(st.permutations(range(2 ** k))))
             line = f"perm {perm.one_line()} {wires}"
         comment = draw(st.sampled_from(["", "  # note", " #(2,1) 0)"]))
         return line + comment, True
-    bad = draw(st.sampled_from(bad_circuit_lines(n_wires, unicode)))
+    bad = draw(st.sampled_from(bad_circuit_lines(n_wires, unicode)
+                               + SIZE_BEFORE_WIRES))
     return bad, False
 
 
@@ -206,6 +210,8 @@ CIRCUIT_MESSAGES = {
     "qubits 2": "unknown directive 'qubits'",
     "perm (2,3,1) 0 1": "gate dimension 3 is not a power of two >= 2",
     "perm (1) 0": "gate dimension 1 is not a power of two >= 2",
+    "perm (2,3,1) x": "gate dimension 3 is not a power of two >= 2",
+    "perm (1) zero": "gate dimension 1 is not a power of two >= 2",
     "perm (2,1) 0 1": "gate X needs 1 wires, got 2",
     "gate TOFFOLI 0": "gate TOFFOLI needs 3 wires, got 1",
     "perm (1,1) 0": "duplicate entry '1'",
@@ -241,7 +247,9 @@ STORE_MESSAGES = {
     (parse_circuit, "qubits 2", CIRCUIT_MESSAGES, line)
     for line in bad_circuit_lines(2, True)] + [
     (parse_store, "templates dim=4", STORE_MESSAGES, line)
-    for line in BAD_STORE_LINES])
+    for line in BAD_STORE_LINES] + [
+    (parse_circuit, "qubits 2", CIRCUIT_MESSAGES, line)
+    for line in SIZE_BEFORE_WIRES])
 def test_each_bad_line_raises_its_own_message(parse, header, messages, line):
     """The grammars above seldom make a given bad line the first bad one of
     a file; here each is, on line 2 after a good header."""

@@ -29,7 +29,6 @@ from permgate.circuit import (
     BUILTIN_GATES,
     DEFAULT_REWRITE_BUDGET,
     Circuit,
-    Gate,
     GateInstance,
     OptimizeReport,
     optimize,
@@ -153,7 +152,7 @@ def ref_find_rewrite(circuit, templates, dimension):
             run += 1
         if run < 2:
             continue
-        windows = [_product((g.gate.perm for g in gates[start:start + p]), dimension)
+        windows = [_product((g.gate for g in gates[start:start + p]), dimension)
                    for p in range(run + 1)]
         for t in templates:
             m = len(t.gates)
@@ -168,7 +167,7 @@ def ref_find_rewrite(circuit, templates, dimension):
                             continue
                         rest = cyclic[offset + p:offset + m]
                         rest = rest if reverse else [g.inverse() for g in reversed(rest)]
-                        return start, p, [GateInstance(Gate(g), wires)
+                        return start, p, [GateInstance(g, wires)
                                           for g in rest]
     return None
 
@@ -256,7 +255,7 @@ def circuits(draw, pool):
     for _ in range(draw(st.integers(0, 5))):
         wires = tuple(draw(st.permutations(range(3)))[:2])
         for perm in draw(st.lists(gate, min_size=1, max_size=6)):
-            gates.append(GateInstance(Gate(perm), wires))
+            gates.append(GateInstance(perm, wires))
         if draw(st.booleans()):
             gates.append(GateInstance(BUILTIN_GATES["X"], (draw(st.integers(0, 2)),)))
     return Circuit(3, gates)
@@ -372,7 +371,7 @@ def test_store_shared_across_threads():
             "template: (2,4,3,1);(1,4,2,3);(3,4,2,1);(3,4,2,1)\n"
             "template: (2,1,3,4);(2,1,3,4)\n")
     rng = random.Random(7)
-    circuits = [Circuit(2, [GateInstance(Gate(rng.choice(S4)), (0, 1))
+    circuits = [Circuit(2, [GateInstance(rng.choice(S4), (0, 1))
                             for _ in range(12)]) for _ in range(16)]
     expected = [optimize(c, parse_store(text)) for c in circuits]
     interval = sys.getswitchinterval()
@@ -395,7 +394,7 @@ def test_optimize_builds_one_circuit_per_call(blocks, monkeypatch):
     # each block's B, B rewrites to one gate, and X on wire 2 keeps the
     # blocks apart: `blocks` rewrites in all
     store = generate_templates(GateLibrary.symmetric_group(4), 3)
-    b = Gate(Permutation.from_one_line("(4,1,3,2)"))
+    b = Permutation.from_one_line("(4,1,3,2)")
     block = [GateInstance(b, (0, 1)), GateInstance(b, (0, 1)),
              GateInstance(BUILTIN_GATES["X"], (2,))]
     circuit = Circuit(3, block * blocks)
@@ -418,7 +417,7 @@ def test_optimize_checks_no_wire_again(monkeypatch):
     # rewrite on a checked window's wires; a Circuit built by hand is
     # still checked
     store = generate_templates(GateLibrary.symmetric_group(4), 3)
-    b = Gate(Permutation.from_one_line("(4,1,3,2)"))
+    b = Permutation.from_one_line("(4,1,3,2)")
     circuit = Circuit(3, [GateInstance(b, (0, 1)), GateInstance(b, (0, 1)),
                           GateInstance(BUILTIN_GATES["X"], (2,)),
                           GateInstance(BUILTIN_GATES["X"], (2,)),

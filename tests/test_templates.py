@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permgate import gatetable
-from permgate.circuit import Circuit, Gate, GateInstance, optimize
+from permgate.circuit import Circuit, GateInstance, optimize
 from permgate.errors import (
     CapExceeded,
     ClosureError,
@@ -179,7 +179,7 @@ class TestMultiplicationTable:
         assert len(computed) == 24 ** 2
         computed.clear()
         rng = random.Random(14)
-        circuit = Circuit(3, [GateInstance(Gate(rng.choice(lib.gates)),
+        circuit = Circuit(3, [GateInstance(rng.choice(lib.gates),
                                            rng.choice([(0, 1), (1, 2)]))
                               for _ in range(200)])
         _, report = optimize(circuit, store)
