@@ -6,9 +6,8 @@ number comes from exact integer/rational arithmetic.  Each command imports
 the modules it runs, so stats and enumerate never load the optimizer.
 
 Exit codes: 0 success, 1 domain error (caps, parse failures, memory
-exhausted, DIFFER), 2 usage error.  `verify` is the one command where
-unreadable inputs are a usage error (exit 2), since exit 1 there means
-"circuits differ".
+exhausted, DIFFER), 2 usage error.  `verify`'s exit 1 means DIFFER only,
+so every failure there exits 2.
 """
 
 from __future__ import annotations
@@ -271,15 +270,9 @@ def _cmd_verify(args, parser) -> int:
     from . import circuit as circ
     if len(args.circuit) != 2:
         parser.error("verify needs exactly two --circuit arguments")
-    try:
-        # one line memo across both files: b mostly repeats a's lines
-        a, b = circ._load_circuits(args.circuit, force=args.force)
-        first = circ.equivalent(a, b)
-    except (PermGateError, OSError) as exc:
-        # exit 1 is reserved for DIFFER here, so unusable inputs (unreadable,
-        # or of different wire counts) are usage
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # one line memo across both files: b mostly repeats a's lines
+    a, b = circ._load_circuits(args.circuit, force=args.force)
+    first = circ.equivalent(a, b)
     if first is None:
         print("EQUIVALENT")
         return 0
@@ -301,15 +294,16 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handler = _COMMANDS[args.command]
+    # verify's exit 1 means DIFFER, so every failure there (unreadable or
+    # mismatched inputs, memory exhausted) exits 2, as usage errors do
+    failed = 2 if args.command == "verify" else 1
     try:
-        return handler(args, parser)
+        return _COMMANDS[args.command](args, parser)
     except (PermGateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
-        return 1
+    return failed
 
 
 if __name__ == "__main__":

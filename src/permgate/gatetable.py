@@ -7,7 +7,8 @@ template is a walk of lookups: ``mul[a][b]`` is the index of gate a *
 gate b (b applied first), and ``inv[a]`` the index of gate a's inverse.
 A missing entry is computed from the two gates' images, and a product
 the table has not met is interned on the way, so the table grows on
-demand and computes each product and inverse on first use.
+demand and computes each product and inverse on first use.  Every gate
+enters through ``intern``.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ class _Row(dict):
 
     def __missing__(self, b: int) -> int:
         table = self._table
-        images = table.images
-        product = tuple(map(images[self._a].__getitem__, images[b]))
-        c = table._index.get(product)  # a hit calls no other Python function
+        perms = table.perms
+        product = tuple(map(perms[self._a].images.__getitem__, perms[b].images))
+        c = table._index.get(product)  # a hit builds no Permutation
         if c is None:
-            c = table.intern_images(product)
+            c = table.intern(Permutation(product))
         self[b] = c
         return c
 
@@ -68,7 +69,6 @@ class GateTable:
 
     def __init__(self, dimension: int):
         self.dimension = dimension
-        self.images: list[tuple[int, ...]] = []
         self.perms: list[Permutation] = []
         self.mul: list[_Row] = []
         self.inv = _Inverses(self)
@@ -77,26 +77,21 @@ class GateTable:
 
     @cached_property
     def identity(self) -> int:
-        return self.intern_images(tuple(range(self.dimension)))
+        return self.intern(Permutation.identity(self.dimension))
 
     def intern(self, perm: Permutation) -> int:
-        i = self._index.get(perm.images)
-        return self._add(perm.images, perm) if i is None else i
-
-    def intern_images(self, images: tuple[int, ...]) -> int:
+        """The index of perm, numbering it next if the table has not met it."""
+        images = perm.images
         i = self._index.get(images)
-        return self._add(images, None) if i is None else i
-
-    def _add(self, images, perm) -> int:
-        with self._lock:
-            i = self._index.get(images)
-            if i is None:
-                i = len(self.images)
-                self.images.append(images)
-                self.perms.append(Permutation(images) if perm is None else perm)
-                self.mul.append(_Row(self, i))
-                self._index[images] = i  # published last
-            return i
+        if i is None:
+            with self._lock:
+                i = self._index.get(images)
+                if i is None:
+                    i = len(self.perms)
+                    self.perms.append(perm)
+                    self.mul.append(_Row(self, i))
+                    self._index[images] = i  # published last
+        return i
 
     def text(self, word) -> str:
         return ";".join(self.perms[i].one_line() for i in word)

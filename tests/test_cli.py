@@ -14,7 +14,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import permgate
@@ -1006,9 +1006,14 @@ def s4_store_path(tmp_path_factory):
 
 
 def run_main(*argv):
+    """(exit code, stdout, stderr) of one in-process CLI call; argparse's
+    SystemExit is read as its exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([str(a) for a in argv])
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -1035,3 +1040,60 @@ def test_valid_runs_through_the_cli(s4_store_path, text, with_store):
         assert "removed=0\n" in out and "rewrites=0\n" in out
         assert run_main("verify", "--circuit", once, "--circuit", once) == (
             0, "EQUIVALENT\n", "")
+
+
+@st.composite
+def boundary_argvs(draw):
+    """argv of stats, classify, enumerate or templates at and around each
+    bound, templates without --out.  --force is passed only where the run
+    stays small: at most 12 qubits, dimension at most 8 (4 for templates),
+    or an input refused even under force."""
+    command = draw(st.sampled_from(["stats", "classify", "enumerate",
+                                    "templates"]))
+    if command in ("stats", "classify"):
+        n = draw(st.integers(-2, 12) | st.sampled_from([15, 63, 10 ** 20]))
+        argv = [command, "--qubits", n]
+        if draw(st.booleans()):
+            argv += ["--decimals", draw(st.integers(-1, 51))]
+        small = n <= 12 or n >= 63
+    elif command == "enumerate":
+        m = draw(st.integers(-1, 8) | st.sampled_from([13, sys.maxsize + 1]))
+        argv = [command, "--dimension", m, "--filter",
+                draw(st.sampled_from(["all", "involution", "non-involution"]))]
+        small = m <= 8 or m > sys.maxsize
+    else:
+        m = draw(st.sampled_from([-1, 0, 1, 2, 3, 4, 6, 8]))
+        max_size = draw(st.integers(0, 4 if m == 4 else 7))
+        argv = [command, "--dimension", m, "--max-size", max_size]
+        small = m <= 4 or not 2 <= max_size <= templates.MAX_TEMPLATE_SIZE
+    if small and draw(st.booleans()):
+        argv.append("--force")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=boundary_argvs())
+@example(argv=["stats", "--qubits", 11])
+@example(argv=["stats", "--qubits", 63, "--force"])
+@example(argv=["classify", "--qubits", 63, "--force"])
+@example(argv=["enumerate", "--dimension", sys.maxsize + 1, "--force"])
+def test_exit_contract_at_boundary_values(argv):
+    """Every run exits 0, 1 or 2 without a traceback; exit 1 is one error
+    line and no stdout; enumerate's count= counts its stdout lines, and a
+    store that templates writes loads with the count it printed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        store = Path(tmp, "store.tmpl")
+        if argv[0] == "templates":
+            argv = [*argv, "--out", store]
+        code, out, err = run_main(*argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 1:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        elif code == 0 and argv[0] == "enumerate":
+            lines = out.count("\n")
+            assert err == f"count={lines}\n"
+        elif code == 0 and argv[0] == "templates":
+            stored = templates.parse_store(store.read_text())
+            assert out == f"templates={len(stored)}\n"

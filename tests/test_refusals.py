@@ -184,13 +184,17 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("argv", [
-    ["templates", "--dimension", "4611686018427387904", "--force",
-     "--max-size", "2", "--out", "x.tmpl"],
-    ["enumerate", "--dimension", "3037000500", "--force",
-     "--filter", "involution"],
+@pytest.mark.parametrize("argv, code", [
+    (["templates", "--dimension", "4611686018427387904", "--force",
+      "--max-size", "2", "--out", "x.tmpl"], 1),
+    (["enumerate", "--dimension", "3037000500", "--force",
+      "--filter", "involution"], 1),
+    # verify's exit 1 means DIFFER, so its failures exit 2
+    (["verify", "--circuit", "wide.circ", "--circuit", "wide.circ",
+      "--force"], 2),
 ])
-def test_forced_run_out_of_memory_is_one_error_line(tmp_path, argv):
+def test_forced_run_out_of_memory_is_one_error_line(tmp_path, argv, code):
+    (tmp_path / "wide.circ").write_text("qubits 30\ngate X 0\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(Path(permgate.__file__).resolve().parents[1]),
@@ -198,6 +202,6 @@ def test_forced_run_out_of_memory_is_one_error_line(tmp_path, argv):
     done = subprocess.run([sys.executable, "-c", CAPPED_CHILD, *argv],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=120)
-    assert_one_error_line((done.returncode, done.stdout, done.stderr))
+    assert_one_error_line((done.returncode, done.stdout, done.stderr), code)
     assert done.stderr == "error: out of memory\n"
     assert not (tmp_path / "x.tmpl").exists()

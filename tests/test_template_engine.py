@@ -383,10 +383,42 @@ def test_store_shared_across_threads():
                 results = list(pool.map(lambda c: optimize(c, store), circuits,
                                         timeout=60))
             assert results == expected
-            images = store._table.images
+            images = [p.images for p in store._table.perms]
             assert len(set(images)) == len(images)
     finally:
         sys.setswitchinterval(interval)
+
+
+def assert_gate_table_consistent(table):
+    perms = table.perms
+    assert len(table._index) == len(perms)
+    for i, p in enumerate(perms):
+        assert table._index[p.images] == i
+    assert len(table.mul) == len(perms)
+    for a, row in enumerate(table.mul):
+        for b, c in row.items():
+            assert 0 <= c < len(perms) and perms[c] == perms[a] * perms[b]
+    for a, b in table.inv.items():
+        assert perms[b] == perms[a].inverse()
+    assert perms[table.identity].is_identity()
+
+
+def test_gate_table_invariants_hold_after_each_way_in():
+    # generation, loading and a rewrite scan that meets gates and products
+    # the store never held all leave each gate at one index, under which
+    # the table finds it, with every memoised product and inverse right
+    generated = generate_templates(GateLibrary.symmetric_group(4), 4)
+    loaded = parse_store(format_store(generated))
+    partial = parse_store("templates dim=4\n"
+                          "template: (1,2,4,3);(1,2,4,3)\n")
+    rng = random.Random(5)
+    circuit = Circuit(2, [GateInstance(rng.choice(S4), (0, 1))
+                          for _ in range(40)])
+    held = len(partial._table.perms)
+    optimize(circuit, partial)
+    assert len(partial._table.perms) > held
+    for store in (generated, loaded, partial):
+        assert_gate_table_consistent(store._table)
 
 
 @pytest.mark.parametrize("blocks", [100, 200])
