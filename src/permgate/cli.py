@@ -113,9 +113,70 @@ def _cmd_stats(args, parser) -> int:
     return 0
 
 
+def _involution_lines(m):
+    """Return lines(prefix): the ascending indices, in the block of S_m's
+    listing whose lines start with prefix (see _write_blocks), of the
+    lines that are involutions.
+
+    With j = m - k prefix entries and k tail entries, an entry p_i < j of
+    the prefix must have p[p_i] = i, or the block holds no involution.
+    Each p_i >= j forces the tail entry at position p_i - j to be i, and
+    these forced values are the tail's smallest.  The other f tail
+    positions are the tail's other values, and any involution of them
+    completes the line.  A line's index is the Lehmer code of its tail's
+    value ranks: the forced positions add a constant, and the free ones a
+    term that depends only on which positions are forced.  So each such
+    layout (at most 2^k of them) has one list of terms, made on its first
+    use in the call from the Lehmer codes of S_f's involutions, in
+    lexicographic order; no involution of S_m is searched for.
+    """
+    k = min(m, ENUMERATE_TAIL)
+    j = m - k
+    weight = [math.factorial(k - 1 - q) for q in range(k)]
+
+    @functools.cache
+    def free_terms(weights):
+        # the Lehmer code terms of the involutions of free positions of
+        # these weights, in lexicographic order: the first point is fixed,
+        # or it swaps with the b-th, the smallest value, which sits to the
+        # right of the b - 1 points between them
+        if len(weights) < 2:
+            return [0]
+        first, rest = weights[0], weights[1:]
+        terms = list(free_terms(rest))
+        for b in range(1, len(weights)):
+            terms += map((b * first + sum(rest[:b - 1])).__add__,
+                         free_terms(rest[:b - 1] + rest[b:]))
+        return terms
+
+    @functools.cache
+    def layout_terms(forced):
+        free = [q for q in range(k) if q not in forced]
+        # a free position's rank exceeds every forced rank to its right
+        base = sum(weight[q] * sum(p > q for p in forced) for q in free)
+        return list(map(base.__add__,
+                        free_terms(tuple(weight[q] for q in free))))
+
+    def lines(prefix):
+        forced = []  # forced tail positions, by their values 0, 1, ...
+        for i, v in enumerate(prefix):
+            if v >= j:
+                forced.append(v - j)
+            elif prefix[v] != i:
+                return ()
+        # the forced value ranked a sits at forced[a]; it exceeds each
+        # earlier value that sits to its right
+        shift = sum(weight[q] * sum(p > q for p in forced[:a])
+                    for a, q in enumerate(forced))
+        return list(map(shift.__add__, layout_terms(frozenset(forced))))
+
+    return lines
+
+
 def _write_blocks(m, tokens, skip, write) -> int:
-    """Write S_m's lines in lexicographic order, less the images that the
-    sorted iterator `skip` yields, one block per write; return the count.
+    """Write S_m's lines in lexicographic order, one block per write, less
+    the lines of each block that skip(prefix) names by their index in the
+    block, ascending; return the count.
 
     S_m in lexicographic order is one block of k! lines per prefix of
     m - k entries, the prefixes in the order itertools.permutations yields
@@ -129,12 +190,9 @@ def _write_blocks(m, tokens, skip, write) -> int:
     (once, by "(", when m <= 9).  A token of two or more digits is
     translated to a one-character stand-in, which keeps translate on its
     ASCII fast path, and then expanded by one replace.  Every line has
-    the same width, so a skipped image's line starts at width times the
-    position, in permutations(range(k)), of its tail written as the ranks
-    of its values among the block's tail points; one table, built on the
-    first skip, maps those ranks to the offset, and the kept slices are
-    joined once per block.  No Permutation is built and no Python code
-    runs per line.
+    the same width, so a skipped line starts at width times its index,
+    and the kept slices are joined once per block.  No Permutation is
+    built and no Python code runs per kept line.
     """
     k = min(m, ENUMERATE_TAIL)
     j = m - k  # entries in a block's prefix
@@ -145,8 +203,6 @@ def _write_blocks(m, tokens, skip, write) -> int:
         map(",".join, itertools.permutations(marks[j - fixed:]))) + ")\n"
     width = sum(map(len, tokens)) + m + 2  # every line holds every token
     count = 0
-    nxt = next(skip, None)
-    offsets = None  # tail ranks -> the line's offset in its block
     head = None
     for prefix in itertools.permutations(range(m), j):
         if prefix[:fixed] != head:
@@ -161,17 +217,13 @@ def _write_blocks(m, tokens, skip, write) -> int:
         for i, v in enumerate(points):
             if len(tokens[v]) > 1:
                 block = block.replace(stand_ins[i], tokens[v])
-        if nxt is not None and nxt[:j] == prefix:
-            if offsets is None:
-                offsets = dict(zip(itertools.permutations(range(k)),
-                                   range(0, len(block), width)))
-            rank = dict(zip(tail, range(k))).__getitem__
+        skipped = skip(prefix)
+        if skipped:
             pieces, start = [], 0
-            while nxt is not None and nxt[:j] == prefix:
-                at = offsets[tuple(map(rank, nxt[j:]))]
+            for line in skipped:
+                at = line * width
                 pieces.append(block[start:at])
                 start = at + width
-                nxt = next(skip, None)
             pieces.append(block[start:])
             block = "".join(pieces)
         write(block)
@@ -184,11 +236,11 @@ def _cmd_enumerate(args, parser) -> int:
     if m < 1:
         parser.error("--dimension must be >= 1")
     check_enumeration_cap(m, args.force)
-    # The listing is built as text: no Permutation per line.  The
-    # involutions come from their own depth-first search in lexicographic
-    # order, so `involution` lists them without walking S_m and
-    # `non-involution` cuts them out of S_m as both stream, in bounded
-    # memory past the cap too.
+    # The listing is built as text: no Permutation per line.  `involution`
+    # lists the involutions from their own depth-first search in
+    # lexicographic order, without walking S_m; `non-involution` cuts them
+    # out of each block of S_m at the line indices that the block's prefix
+    # decides, so both stream in bounded memory, past the cap too.
     tokens = [str(k) for k in range(1, m + 1)]
     write = sys.stdout.write
     if args.filter == "involution":
@@ -199,8 +251,8 @@ def _cmd_enumerate(args, parser) -> int:
             write("(" + ")\n(".join(chunk) + ")\n")
             count += len(chunk)
     else:
-        skip = (involutions(m, args.force) if args.filter == "non-involution"
-                else iter(()))
+        skip = (_involution_lines(m) if args.filter == "non-involution"
+                else lambda prefix: ())
         count = _write_blocks(m, tokens, skip, write)
     print(f"count={count}", file=sys.stderr)
     return 0

@@ -7,6 +7,7 @@ import io
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -439,9 +440,10 @@ class TestEnumerate:
 
     def test_forced_non_involutions_stream_without_the_involution_set(
             self, monkeypatch):
-        # past the cap the a(m) involutions are drawn alongside the listing,
-        # never held as a whole: S_13's first block is written after at
-        # most one block's worth of them, checked, and the listing cut off
+        # past the cap each block's involutions are cut at the line indices
+        # its prefix decides, and none is drawn from the involution search:
+        # S_13's first block is written, checked, and the listing cut off.
+        # The involution filter draws through the same counter.
         drawn, drawn_at_write = 0, []
 
         def counted(*args, **kwargs):
@@ -461,12 +463,18 @@ class TestEnumerate:
         with pytest.raises(WriteRecorder.Stopped):
             main(["enumerate", "--dimension", "13", "--force",
                   "--filter", "non-involution"])
-        assert 0 < drawn_at_write[0] <= cli.ENUMERATE_BLOCK
+        assert drawn == 0
         head = itertools.islice(itertools.permutations(range(13)),
                                 cli.ENUMERATE_BLOCK)
         expected = ["(" + ",".join(str(k + 1) for k in p) + ")"
                     for p in head if not Permutation(p).is_involution()]
         assert recorder.writes[0].splitlines() == expected
+        drawn_at_write.clear()
+        monkeypatch.setattr(sys, "stdout", Recorder(limit=1))
+        with pytest.raises(WriteRecorder.Stopped):
+            main(["enumerate", "--dimension", "13", "--force",
+                  "--filter", "involution"])
+        assert drawn_at_write[0] == cli.ENUMERATE_BLOCK
 
     def test_byte_determinism(self, capsys):
         _, first, _ = run(capsys, "enumerate", "--dimension", "3")
@@ -477,36 +485,100 @@ class TestEnumerate:
     @given(case=skipped_lines())
     def test_any_sorted_skip_is_cut_line_for_line(self, case):
         m, skipped = case
+        k = min(m, cli.ENUMERATE_TAIL)
         images = list(itertools.permutations(range(m)))
+        by_prefix = {}  # a block's prefix -> its skipped lines, ascending
+        for line in skipped:
+            by_prefix.setdefault(images[line][:m - k], []).append(
+                line % math.factorial(k))
+        asked = []
+
+        def skip(prefix):
+            asked.append(prefix)
+            return by_prefix.get(prefix, ())
+
         lines = listing_oracle(m, "all").splitlines(keepends=True)
         recorder = WriteRecorder()
         tokens = [str(v + 1) for v in range(m)]
-        count = cli._write_blocks(m, tokens, map(images.__getitem__, skipped),
-                                  recorder.write)
+        count = cli._write_blocks(m, tokens, skip, recorder.write)
         kept = set(range(len(lines))).difference(skipped)
         want = "".join(lines[i] for i in sorted(kept))
         assert first_difference("".join(recorder.writes), want) is None
         assert count == len(kept)
-        # one write per block, an emptied block included
-        assert len(recorder.writes) == math.factorial(m) // math.factorial(
-            min(m, cli.ENUMERATE_TAIL))
+        # one skip call and one write per block, an emptied block included
+        assert asked == list(itertools.permutations(range(m), m - k))
+        assert len(recorder.writes) == math.factorial(m) // math.factorial(k)
 
     def test_skips_two_digit_lines_at_block_ends(self):
         # S_10's first two blocks, less the first and last line of each
         block = cli.ENUMERATE_BLOCK
-        images = list(itertools.islice(itertools.permutations(range(10)),
-                                       2 * block))
+        ends = {(0, 1, 2): [0, block - 1], (0, 1, 3): [0, block - 1]}
         skipped = [0, block - 1, block, 2 * block - 1]
         recorder = WriteRecorder(limit=2)
         tokens = [str(v + 1) for v in range(10)]
         with pytest.raises(WriteRecorder.Stopped):
-            cli._write_blocks(10, tokens, map(images.__getitem__, skipped),
+            cli._write_blocks(10, tokens, lambda prefix: ends.get(prefix, ()),
                               recorder.write)
         lines = listing_head(10, "all", 2 * block).splitlines(keepends=True)
         for i in reversed(skipped):
             del lines[i]
         assert [text.count("\n") for text in recorder.writes] == [block - 2] * 2
         assert first_difference("".join(recorder.writes), "".join(lines)) is None
+
+    @pytest.mark.parametrize("m", range(1, 12))
+    def test_involution_lines_on_every_block(self, m):
+        # the reference: each involution's tail, written as the ranks of its
+        # values, located in permutations(range(k)); involutions itself is
+        # pinned against a filter of S_m in test_perm.  Every block is
+        # asked: one block with an empty prefix for m <= 7, and past that
+        # blocks with no involution and blocks that pair prefix entries
+        k = min(m, cli.ENUMERATE_TAIL)
+        j = m - k
+        tail_index = {ranks: i for i, ranks in
+                      enumerate(itertools.permutations(range(k)))}
+        want = {}
+        for images in involutions(m):
+            tail = images[j:]
+            ranks = tuple(map(sorted(tail).index, tail))
+            want.setdefault(images[:j], []).append(tail_index[ranks])
+        lines = cli._involution_lines(m)
+        got = {prefix: list(lines(prefix))
+               for prefix in itertools.permutations(range(m), j)}
+        assert {prefix: got[prefix] for prefix in got if got[prefix]} == want
+        if j >= 2:
+            assert got.keys() - want.keys()
+            assert got[(1, 0) + tuple(range(2, j))]
+
+    def test_involution_lines_on_seeded_blocks_of_s12(self):
+        # brute force over each block's 7! lines; the prefixes are random,
+        # those of random involutions, and a few of each kind: entries
+        # paired among themselves, all forced, mixed, and no involution
+        m, k = 12, cli.ENUMERATE_TAIL
+        j = m - k
+        rng = random.Random(1201)
+        prefixes = [(1, 0, 3, 2, 4), (0, 1, 2, 3, 4), (11, 10, 9, 8, 7),
+                    (1, 0, 7, 3, 9), (2, 3, 0, 1, 5), (1, 2, 0, 3, 4),
+                    (0, 6, 2, 3, 4)]
+        for _ in range(8):
+            prefixes.append(tuple(rng.sample(range(m), j)))
+            images, points = list(range(m)), rng.sample(range(m), m)
+            for a, b in zip(points[::2], points[1::2]):
+                if rng.random() < 0.7:
+                    images[a], images[b] = b, a
+            prefixes.append(tuple(images[:j]))
+        identity = tuple(range(m))
+        lines = cli._involution_lines(m)
+        empty = 0
+        for prefix in prefixes:
+            tail = sorted(set(range(m)).difference(prefix))
+            want = []
+            for i, ranks in enumerate(itertools.permutations(range(k))):
+                images = prefix + tuple(map(tail.__getitem__, ranks))
+                if tuple(map(images.__getitem__, images)) == identity:
+                    want.append(i)
+            assert list(lines(prefix)) == want, prefix
+            empty += not want
+        assert 0 < empty < len(prefixes)
 
     @pytest.mark.parametrize("which, digest", [
         ("all",
@@ -522,12 +594,11 @@ class TestEnumerate:
         assert main(["enumerate", "--dimension", "9", "--filter", which]) == 0
         assert sink.sha256.hexdigest() == digest
 
-    @pytest.mark.parametrize("which, limit", [
-        ("non-involution", 2_000_000), ("all", 1_000_000)])
+    @pytest.mark.parametrize("which", ["non-involution", "all"])
     def test_dimension_nine_listing_memory_is_bounded(
-            self, capsys, monkeypatch, which, limit):
-        # a materialised listing (over 6 MB) would show; only non-involution
-        # builds the table of line offsets (about 0.8 MB).  A small run
+            self, capsys, monkeypatch, which):
+        # a materialised listing (over 6 MB) would show, as would a table
+        # of S_7's line offsets (about 0.8 MB) beside a block.  A small run
         # first builds the parser and imports what the command imports, so
         # the peak is the listing's alone.
         sink = CountingSink()
@@ -543,7 +614,7 @@ class TestEnumerate:
         finally:
             tracemalloc.stop()
         assert capsys.readouterr().err == f"count={sink.lines}\n"
-        assert peak < limit
+        assert peak < 1_000_000
 
 
 class TestClassify:
