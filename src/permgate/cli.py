@@ -75,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_REWRITE_BUDGET)
     p.add_argument("--force", action="store_true",
-                   help="override the wire cap")
+                   help="override the wire cap and the store's template "
+                        "length cap")
 
     p = sub.add_parser("verify", help="check two circuit files for equality")
     p.add_argument("--circuit", action="append", required=True,
@@ -304,7 +305,7 @@ def _cmd_optimize(args, parser) -> int:
     store = None
     if args.templates:
         from .templates import load_store
-        store = load_store(args.templates)
+        store = load_store(args.templates, force=args.force)
     optimized, report = circ.optimize(circuit, store, budget=args.budget)
     if circ.equivalent(optimized, circuit) is not None:
         print("internal error: optimized circuit is not equivalent; "

@@ -32,7 +32,8 @@ and word length.  Generation inverts each candidate from its parent's
 reversed inverse, and walks no candidate under 6 gates for stored
 factors, since such a candidate cannot contain one.  Loading maps each
 line's gate texts to indices in one step and parses a gate text only
-the first time it turns up.
+the first time it turns up, after refusing, unless forced, a line of
+more than MAX_TEMPLATE_SIZE gates by its length alone.
 
 Every stored word composes to the identity, so the rewrite scan's lookup
 keys the p gates from an offset by the inverse of the m - p gates after
@@ -52,8 +53,8 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import (ClosureError, DimensionError, FileFormatError,
-                     _int, _read_ascii, check_cap)
+from .errors import (CapExceeded, ClosureError, DimensionError,
+                     FileFormatError, _int, _read_ascii, check_cap)
 from .gatetable import GateTable
 from .perm import Permutation, _product, enumerate_permutations
 
@@ -142,8 +143,8 @@ class Template:
     """A gate sequence meant to compose to the identity.
 
     Construction only fixes dimension and length; whether the sequence
-    actually composes to the identity is checked by verifies(), and stores
-    refuse sequences that do not.
+    actually composes to the identity is checked by verifies(), and
+    parse_store refuses lines that do not.
     """
 
     gates: tuple[Permutation, ...]
@@ -248,12 +249,14 @@ def expand_template(t: Template, position: int, library: GateLibrary) -> list[Te
 
 class TemplateStore:
     """Deduplicated set of verified templates (degenerate ones too, from
-    add or parse_store; generate_templates skips them).
+    parse_store; generate_templates skips them).
 
-    Templates are held as index words over the store's gate table, which
-    is what every check, the store file and the rewrite scan read;
-    ``templates`` (and iteration) gives them as Template objects, in the
-    same order, in a new list on each access.
+    Words enter only through generate_templates or parse_store, so a
+    hand-built store is store file text and gets every check a file gets.
+    They are held as index words over the store's gate table, which is
+    what every check, the store file and the rewrite scan read;
+    ``templates`` gives them as Template objects, in the same order, in a
+    new list on each access.  ``x in store`` raises TypeError.
     """
 
     def __init__(self, dimension: int):
@@ -274,31 +277,6 @@ class TemplateStore:
     def __len__(self) -> int:
         return len(self._words)
 
-    def __iter__(self):
-        return iter(self.templates)
-
-    def _word(self, t: Template) -> tuple[int, ...]:
-        intern = self._table.intern
-        return tuple([intern(g) for g in t.gates])
-
-    def __contains__(self, t: Template) -> bool:
-        return t.dimension == self.dimension and self._known(self._word(t))
-
-    def add(self, t: Template) -> bool:
-        """Insert unless already present up to symmetry; idempotent."""
-        if t.dimension != self.dimension:
-            raise DimensionError(
-                f"template dimension {t.dimension} != store dimension {self.dimension}"
-            )
-        word, table = self._word(t), self._table
-        if not table.is_identity_word(word):
-            raise ValueError(
-                f"template does not compose to identity: {table.text(word)}")
-        if self._known(word):
-            return False
-        self._insert(word)
-        return True
-
     def _known(self, word: tuple[int, ...]) -> bool:
         """The word is stored up to rotation and reversal with inverses."""
         rotations = self._rotations
@@ -310,11 +288,6 @@ class TemplateStore:
     def _insert(self, word: tuple[int, ...]) -> None:
         self._rotations.update([rotate(word) for rotate in _rotators(len(word))])
         self._words.append(word)
-
-    def subsumes(self, t: Template) -> bool:
-        """True if t contains a stored shorter template as a contiguous
-        cyclic factor."""
-        return t.dimension == self.dimension and self._subsumes(self._word(t))
 
     def _subsumes(self, word: tuple[int, ...]) -> bool:
         table = self._table
@@ -521,14 +494,16 @@ def format_store(store: TemplateStore) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_store(text: str) -> TemplateStore:
+def parse_store(text: str, force: bool = False) -> TemplateStore:
     """Inverse of format_store; every line must verify to identity.
 
-    The header's M is read by errors._int.  Each distinct gate text is
-    parsed (and validated) once and interned in the store's gate table;
-    every line is then verified and deduplicated as an index word.  Raises
+    The header's M is read by errors._int.  A line of more than
+    MAX_TEMPLATE_SIZE gates is refused by check_cap unless force is set,
+    before its gate texts are read.  Each distinct gate text is parsed
+    (and validated) once and interned in the store's gate table; every
+    line is then verified and deduplicated as an index word.  Raises
     FileFormatError with the 1-based line number (lines as str.splitlines
-    splits them) on any malformed or non-identity line.
+    splits them) on any malformed, non-identity or refused line.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("templates dim="):
@@ -553,6 +528,9 @@ def parse_store(text: str) -> TemplateStore:
             raise FileFormatError(lineno, f"expected 'template:' line, got {raw!r}")
         parts = line[9:].lstrip().split(";")  # 9 == len("template:")
         try:
+            if len(parts) > MAX_TEMPLATE_SIZE:
+                check_cap(True, force, f"a template of {len(parts)} gates",
+                          f"{MAX_TEMPLATE_SIZE} gates")
             try:
                 word = tuple(map(index_of, parts))
             except KeyError:
@@ -569,7 +547,7 @@ def parse_store(text: str) -> TemplateStore:
             if not verifies(word):
                 raise ValueError(
                     f"template does not compose to identity: {table.text(word)}")
-        except ValueError as exc:
+        except (CapExceeded, ValueError) as exc:
             raise FileFormatError(lineno, str(exc)) from None
         # new up to rotation and reversal with inverses
         if (word not in rotations
@@ -583,5 +561,5 @@ def save_store(store: TemplateStore, path) -> None:
         fh.write(format_store(store))
 
 
-def load_store(path) -> TemplateStore:
-    return parse_store(_read_ascii(path))
+def load_store(path, force: bool = False) -> TemplateStore:
+    return parse_store(_read_ascii(path), force)

@@ -141,7 +141,7 @@ def test_criterion_6_rearrangement_and_templates():
 
         store = generate_templates(library, 3)
         assert len(store) > 0
-        assert all(t.verifies() for t in store)
+        assert all(t.verifies() for t in store.templates)
 
 
 def _random_circuit(rng: random.Random, n_wires: int, length: int) -> Circuit:

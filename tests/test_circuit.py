@@ -26,7 +26,7 @@ from permgate.circuit import (
 from permgate.errors import (CapExceeded, DimensionError, FileFormatError,
                              WiringError)
 from permgate.perm import Permutation
-from permgate.templates import (GateLibrary, Template, TemplateStore,
+from permgate.templates import (GateLibrary, TemplateStore,
                                 generate_templates, parse_store)
 
 X = BUILTIN_GATES["X"]
@@ -600,7 +600,7 @@ class TestCancelAdjacentInverses:
 
 def three_gate_template(store):
     """The first 3-gate template of `store`: no two of its gates cancel."""
-    return next(t for t in store if len(t.gates) == 3).gates
+    return next(t for t in store.templates if len(t.gates) == 3).gates
 
 
 class TestTemplateRewrite:
@@ -650,16 +650,14 @@ class TestTemplateRewrite:
         assert len(rewritten(c, s4_store, budget=2)) == 2
 
     def test_non_power_of_two_store_rejected(self):
-        store = TemplateStore(6)
-        g = Permutation([1, 2, 3, 4, 5, 0])
-        store.add(Template((g, g.inverse())))
+        store = parse_store("templates dim=6\n"
+                            "template: (6,1,2,3,4,5);(2,3,4,5,6,1)\n")
         with pytest.raises(DimensionError):
             optimize(Circuit(2), store)
 
     def test_oversized_store_is_noop(self):
-        store = TemplateStore(8)
-        g = Permutation([1, 2, 3, 4, 5, 6, 7, 0])
-        store.add(Template((g, g.inverse())))
+        store = parse_store("templates dim=8\n"
+                            "template: (8,1,2,3,4,5,6,7);(2,3,4,5,6,7,8,1)\n")
         c = Circuit(2, [inst(CNOT, 0, 1)])
         assert rewritten(c, store) == c
 
@@ -751,9 +749,8 @@ class TestOptimize:
 
     def test_non_power_of_two_store_refused_only_with_a_budget(self):
         # a store with budget 0 is neither checked nor scanned
-        store = TemplateStore(6)
-        g = Permutation([1, 2, 3, 4, 5, 0])
-        store.add(Template((g, g.inverse())))
+        store = parse_store("templates dim=6\n"
+                            "template: (6,1,2,3,4,5);(2,3,4,5,6,1)\n")
         c = Circuit(2, [inst(CNOT, 0, 1), inst(CNOT, 0, 1), inst(X, 1)])
         assert optimize(c, store, budget=0) == optimize(c)
         for budget in (1, DEFAULT_REWRITE_BUDGET):

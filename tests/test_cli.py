@@ -698,7 +698,7 @@ class TestTemplates:
         assert out == "templates=103\n"
         store = load_store(out_path)
         assert len(store) == 103
-        assert all(t.verifies() for t in store)
+        assert all(t.verifies() for t in store.templates)
 
     def test_size_fixture_stable(self, capsys, tmp_path):
         a, b = tmp_path / "a.tmpl", tmp_path / "b.tmpl"

@@ -54,6 +54,9 @@ def bad_circuit_lines(n_wires, unicode):
 # a size that is not a power of two is refused before the wire tokens
 SIZE_BEFORE_WIRES = ["perm (2,3,1) x", "perm (1) zero"]
 
+# an identity word one gate past the reader's cap on a template's length
+SEVEN_GATE_LINE = "template: " + ";".join(["(2,1,3,4)"] * 6 + ["(1,2,3,4)"])
+
 BAD_STORE_LINES = [
     "template:", "template: (2,1,3,4)",  # missing tokens
     "(1,2,4,3);(1,2,4,3)", "templates dim=4",  # no prefix, second header
@@ -61,6 +64,7 @@ BAD_STORE_LINES = [
     "template: (1,2,4,3);;(1,2,4,3)",  # bad one-line notation
     "template: (2,1);(2,1)", "template: (2,3,1);(3,1,2)",  # dimension
     "template: (2,1,3,4);(1,2,4,3)",  # does not compose to the identity
+    SEVEN_GATE_LINE,
 ]
 
 
@@ -103,9 +107,9 @@ def circuit_texts(draw, unicode=False):
 
 
 def identity_word(draw):
-    """Notation of 2-4 dimension-4 gates composing to the identity."""
+    """Notation of 2-6 dimension-4 gates composing to the identity."""
     perms = [Permutation(draw(st.permutations(range(4))))
-             for _ in range(draw(st.integers(1, 3)))]
+             for _ in range(draw(st.integers(1, 5)))]
     last = Permutation.identity(4)
     for p in perms:
         last = p * last
@@ -240,6 +244,8 @@ STORE_MESSAGES = {
     "template: (2,3,1);(3,1,2)": "gate dimension differs from dim=4",
     "template: (2,1,3,4);(1,2,4,3)":
         "template does not compose to identity: (2,1,3,4);(1,2,4,3)",
+    SEVEN_GATE_LINE: "a template of 7 gates refused: cap is 6 gates; pass "
+                     "force=True (--force on the command line) to override",
 }
 
 

@@ -4,7 +4,9 @@ The library raises CapExceeded, naming the cap and the override.  The CLI
 prints that message as one error line, with empty stdout and exit 1 (2 for
 verify, where exit 1 means DIFFER), and never a traceback.  stats and
 classify are bounded by the one census cap, so they refuse alike.  A
-forced run past a cap that runs out of memory ends in one error line too.
+store line past the template length cap is refused naming its line, in
+bounded memory, before any of its gates is read.  A forced run past a
+cap that runs out of memory ends in one error line too.
 """
 
 import contextlib
@@ -145,6 +147,43 @@ def test_optimize_and_verify_refuse_wide_circuits(workdir, n):
     assert not out.exists()
     assert_refused(run("verify", "--circuit", str(path), "--circuit",
                        str(path)), code=2)
+
+
+def one_line_store(n_gates: int) -> str:
+    """A dim=2 store whose line 2 is an identity word of n_gates gates: X
+    an even number of times, then the identity gate if n_gates is odd."""
+    gates = ["(2,1)"] * (n_gates - n_gates % 2) + ["(1,2)"] * (n_gates % 2)
+    return "templates dim=2\ntemplate: " + ";".join(gates) + "\n"
+
+
+@pytest.mark.parametrize("n_gates", [6, 7, 100_000])
+def test_optimize_refuses_a_store_line_past_the_template_cap(tmp_path,
+                                                             n_gates):
+    circ, store, out = (tmp_path / "x.circ", tmp_path / "long.tmpl",
+                        tmp_path / "long.opt")
+    circ.write_text("qubits 1\ngate X 0\n")
+    store.write_text(one_line_store(n_gates))
+    argv = ["optimize", "--circuit", str(circ), "--templates", str(store),
+            "--out", str(out)]
+    ran = (0, "gates_before=1\ngates_after=1\nremoved=0\nrewrites=0\n", "")
+    if n_gates <= 6:
+        assert run(*argv) == ran
+        return
+    tracemalloc.start()
+    try:
+        result = run(*argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_refused(result)
+    assert result[2] == (f"error: line 2: a template of {n_gates} gates "
+                         f"refused: cap is 6 gates{OVERRIDE}\n")
+    assert not out.exists()
+    # the text and its split line, about 9 MB for 100 000 gates; storing
+    # the word would hold its 100 000 rotations of 100 000 gates each
+    assert peak < 2 ** 24
+    if n_gates == 7:
+        assert run(*argv, "--force") == ran
 
 
 @pytest.mark.parametrize("size", [2 ** 63, 10 ** 20])

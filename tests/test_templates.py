@@ -20,7 +20,6 @@ from permgate.perm import Permutation, enumerate_permutations
 from permgate.templates import (
     GateLibrary,
     Template,
-    TemplateStore,
     _RewriteScan,
     expand_template,
     format_store,
@@ -288,7 +287,7 @@ class TestTemplate:
     def test_symmetries_preserve_validity(self):
         lib = GateLibrary.symmetric_group(3)
         store = generate_templates(lib, 3)
-        for t in store:
+        for t in store.templates:
             n = len(t.gates)
             for r in range(n):
                 rotated = Template(t.gates[r:] + t.gates[:r])
@@ -306,67 +305,51 @@ class TestTemplate:
 
 
 class TestTemplateStore:
-    def test_add_dedups_by_symmetry(self):
-        store = TemplateStore(2)
-        x = Permutation([1, 0])
-        assert store.add(Template((x, x)))
-        assert not store.add(Template((x, x)))
-        assert len(store) == 1
-
-    def test_add_rejects_non_identity(self):
-        store = TemplateStore(4)
-        p = Permutation.from_one_line("(2,3,1,4)")
-        with pytest.raises(ValueError, match="identity"):
-            store.add(Template((p, p)))
-
-    def test_add_rejects_wrong_dimension(self):
-        store = TemplateStore(4)
-        x = Permutation([1, 0])
-        with pytest.raises(DimensionError):
-            store.add(Template((x, x)))
-
-    def test_contains_up_to_symmetry(self):
+    def test_parse_dedups_by_symmetry(self):
         # a 3-cycle, a transposition, and the transposition closing the
         # word; the reversed inverse holds a^-1, so it is no rotation
         a, b = Permutation([1, 2, 0]), Permutation([1, 0, 2])
         word = (a, b, (b * a).inverse())
-        store = TemplateStore(3)
-        store.add(Template(word))
-        assert Template(word) in store
-        assert Template(word[1:] + word[:1]) in store
-        assert Template(tuple(g.inverse() for g in reversed(word))) in store
-        assert Template((a, a, a)) not in store
-        x = Permutation([1, 0])
-        assert Template((x, x)) not in store
-        assert len(store) == 1
+        lines = [word, word[1:] + word[:1],
+                 tuple(g.inverse() for g in reversed(word)), (a, a, a)]
+        store = parse_store("templates dim=3\n" + "".join(
+            "template: " + ";".join(g.one_line() for g in w) + "\n"
+            for w in lines))
+        assert [t.gates for t in store.templates] == [word, (a, a, a)]
+        with pytest.raises(TypeError):
+            Template(word) in store
 
     def test_subsumption_detection(self):
         lib = GateLibrary.symmetric_group(3)
         store = generate_templates(lib, 2)
         x = lib.gates[1]
-        padded = Template((x, x.inverse(), x, x.inverse()))
-        assert store.subsumes(padded)
+        intern = store._table.intern
+        padded = tuple(map(intern, (x, x.inverse(), x, x.inverse())))
+        assert store._subsumes(padded)
 
 
 class TestGenerate:
     def test_s2_max2(self):
         store = generate_templates(GateLibrary.symmetric_group(2), 2)
-        assert [t.one_line() for t in store] == ["(2,1);(2,1)"]
+        assert [t.one_line() for t in store.templates] == ["(2,1);(2,1)"]
 
     def test_oracle_s2_max3(self):
         lib = GateLibrary.symmetric_group(2)
         store = generate_templates(lib, 3)
-        assert {t.canonical_key() for t in store} == identity_words_up_to_3(lib)
+        keys = {t.canonical_key() for t in store.templates}
+        assert keys == identity_words_up_to_3(lib)
 
     def test_oracle_s3_max3(self):
         lib = GateLibrary.symmetric_group(3)
         store = generate_templates(lib, 3)
-        assert {t.canonical_key() for t in store} == identity_words_up_to_3(lib)
+        keys = {t.canonical_key() for t in store.templates}
+        assert keys == identity_words_up_to_3(lib)
 
     def test_oracle_s4_max3(self):
         lib = s4_library()
         store = generate_templates(lib, 3)
-        assert {t.canonical_key() for t in store} == identity_words_up_to_3(lib)
+        keys = {t.canonical_key() for t in store.templates}
+        assert keys == identity_words_up_to_3(lib)
 
     def test_s4_store_size_fixtures(self):
         # regression sizes, cross-checked against the word oracle above
@@ -379,7 +362,7 @@ class TestGenerate:
 
     def test_all_verify_and_non_degenerate(self):
         store = generate_templates(s4_library(), 3)
-        for t in store:
+        for t in store.templates:
             assert t.verifies()
             assert not t.is_degenerate()
 
@@ -401,7 +384,7 @@ class TestGenerate:
             store = generate_templates(lib, 3, max_templates=5)
         assert len(store) == 5
         assert not store.complete
-        assert all(t.verifies() for t in store)
+        assert all(t.verifies() for t in store.templates)
 
 
 class TestStoreFiles:
@@ -411,17 +394,15 @@ class TestStoreFiles:
         save_store(store, path)
         loaded = load_store(path)
         assert loaded.dimension == 4
-        assert {t.canonical_key() for t in loaded} == {
-            t.canonical_key() for t in store}
+        assert {t.canonical_key() for t in loaded.templates} == {
+            t.canonical_key() for t in store.templates}
         # byte-identical on re-save (writer sorts lines)
         save_store(loaded, tmp_path / "again.tmpl")
         assert (tmp_path / "again.tmpl").read_bytes() == path.read_bytes()
 
     def test_format_text(self):
-        store = TemplateStore(2)
-        x = Permutation([1, 0])
-        store.add(Template((x, x)))
-        assert format_store(store) == "templates dim=2\ntemplate: (2,1);(2,1)\n"
+        text = "templates dim=2\ntemplate: (2,1);(2,1)\n"
+        assert format_store(parse_store(text)) == text
 
     def test_loader_rejects_non_identity_line(self):
         text = "templates dim=4\ntemplate: (2,3,1,4);(2,3,1,4)\n"
