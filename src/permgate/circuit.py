@@ -20,8 +20,8 @@ that template, which is always shorter.  Both passes preserve the circuit's
 permutation by construction; the CLI's optimize command re-checks that
 with equivalent before it writes the result.
 
-The passes work on a plain list of the input's gates, splicing each
-rewrite into it in place; optimize, their one caller, builds one Circuit.
+Each pass builds a new list of gates in time linear in its length;
+optimize, their one caller, builds one Circuit.
 
 The reader parses each distinct line once per call, checking its wires as
 it goes; verify reads its two files in one call, so the second file's
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING
 
-from .errors import (DEFAULT_REWRITE_BUDGET, DimensionError, FileFormatError,
-                     PermGateError, WiringError, _int, _read_ascii, check_cap)
+from .errors import (DimensionError, FileFormatError, PermGateError,
+                     WiringError, _int, _read_ascii, check_cap)
 from .perm import Permutation
 
 if TYPE_CHECKING:  # optimize imports the template engine only for a store
@@ -221,38 +221,45 @@ def _cancel_inverses(gates) -> list[GateInstance]:
     return out
 
 
-def _template_rewrite(gates: list[GateInstance], scan: _RewriteScan,
-                      budget: int) -> int:
-    """Rewrite, in place, windows matching a strict majority of a stored
-    template, until fixpoint or budget; returns the number of rewrites.
+def _template_rewrite(gates: list[GateInstance],
+                      scan: _RewriteScan) -> tuple[list[GateInstance], int]:
+    """Rewrite windows matching a strict majority of a stored template, to
+    fixpoint in one pass; returns the new list and the number of rewrites.
     A window of p same-wire gates equal to p consecutive template gates
     (cyclically, p > m - p) becomes the other m - p inverted in reverse
     order; one equal to their inverse, those m - p as stored.  Each rewrite
     is the first in the fixed order: leftmost window, longest template
-    first (then store order), largest match, first cyclic offset."""
+    first (then store order), largest match, first cyclic offset.
+    `done` holds the gates before the window and `todo` the rest, reversed,
+    so the window starts at todo[-1] and no step splices a list."""
     dimension = scan.table.dimension
     longest, match = scan.longest, scan.match
-    applied = start = 0
-    while applied < budget and start < len(gates):
-        wires = gates[start].wires
-        perms = [gates[start].gate]  # of the same-wire run from start
+    done: list[GateInstance] = []
+    todo = gates[::-1]
+    applied = 0
+    while todo:
+        wires = todo[-1].wires
+        perms = [todo[-1].gate]  # of the same-wire run from the window start
         if 2 ** len(wires) == dimension:
-            for inst in gates[start + 1:start + longest]:
+            for inst in todo[-2:-longest - 1:-1]:
                 if inst.wires != wires:
                     break
                 perms.append(inst.gate)
         # a match covers more than half of a template of 2+ gates
         hit = match(perms) if len(perms) > 1 else None
         if hit is None:
-            start += 1
+            done.append(todo.pop())
             continue
         p, replacement = hit
-        gates[start:start + p] = [GateInstance(g, wires) for g in replacement]
+        del todo[-p:]
+        todo += [GateInstance(g, wires) for g in reversed(replacement)]
         applied += 1
-        # a window starting before this reads only gates before `start`,
-        # which did not change, and it failed in this scan or an earlier one
-        start = max(0, start - longest + 1)
-    return applied
+        # a window starting before these reads only gates before the old
+        # one, which did not change, and it failed in this pass or before
+        cut = max(0, len(done) - longest + 1)
+        todo += reversed(done[cut:])
+        del done[cut:]
+    return done, applied
 
 
 @dataclass
@@ -270,13 +277,10 @@ class OptimizeReport:
 def optimize(
     circuit: Circuit,
     store: TemplateStore | None = None,
-    budget: int = DEFAULT_REWRITE_BUDGET,
 ) -> tuple[Circuit, OptimizeReport]:
     """Alternate inverse cancellation and template rewriting to fixpoint."""
-    if budget < 0:
-        raise ValueError(f"negative rewrite budget {budget}")
     scan = None  # the store's rewrite lookup, for this call only
-    if store is not None and budget > 0:
+    if store is not None:
         if store.dimension & (store.dimension - 1):
             raise DimensionError(f"store dimension {store.dimension} is not a power "
                                  f"of two; it can never match a window of qubit gates")
@@ -289,9 +293,9 @@ def optimize(
         shrunk = _cancel_inverses(gates)
         cancelled += len(gates) - len(shrunk)
         gates = shrunk
-        if scan is None or rewrites >= budget:
+        if scan is None:
             break
-        applied = _template_rewrite(gates, scan, budget - rewrites)
+        gates, applied = _template_rewrite(gates, scan)
         rewrites += applied
         if applied == 0:
             break

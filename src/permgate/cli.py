@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import counting
 from .counting import render_percent
-from .errors import DEFAULT_REWRITE_BUDGET, PermGateError
+from .errors import PermGateError
 from .perm import check_enumeration_cap, involutions
 
 # enumerate writes S_m in blocks: the k! lines, k = min(m, ENUMERATE_TAIL),
@@ -73,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--templates", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_REWRITE_BUDGET)
     p.add_argument("--force", action="store_true",
                    help="override the wire cap and the store's template "
                         "length cap")
@@ -285,7 +284,7 @@ def _cmd_templates(args, parser) -> int:
     if not 2 <= args.max_size <= MAX_TEMPLATE_SIZE:
         parser.error(f"--max-size must be in 2..{MAX_TEMPLATE_SIZE}")
     library = GateLibrary.symmetric_group(m, force=args.force)
-    # the budget warning is printed as one line of its own, not in the
+    # the store budget warning is printed as one line of its own, not in the
     # warnings module's format, which names this install's source file
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -299,14 +298,12 @@ def _cmd_templates(args, parser) -> int:
 
 def _cmd_optimize(args, parser) -> int:
     from . import circuit as circ
-    if args.budget < 0:
-        parser.error("--budget must be >= 0")
     circuit = circ.load_circuit(args.circuit, force=args.force)
     store = None
     if args.templates:
         from .templates import load_store
         store = load_store(args.templates, force=args.force)
-    optimized, report = circ.optimize(circuit, store, budget=args.budget)
+    optimized, report = circ.optimize(circuit, store)
     if circ.equivalent(optimized, circuit) is not None:
         print("internal error: optimized circuit is not equivalent; "
               "no output written", file=sys.stderr)

@@ -40,8 +40,6 @@ def involution_count(m: int) -> int:
     if m < 0:
         raise ValueError(f"negative count argument {m}")
     prev2, prev1 = 1, 1  # a(0), a(1)
-    if m == 0:
-        return prev2
     for k in range(2, m + 1):
         prev2, prev1 = prev1, prev1 + (k - 1) * prev2
     return prev1

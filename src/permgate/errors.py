@@ -9,10 +9,6 @@ FileFormatError too; _int reads each header and wire-list integer token,
 under the token rule of _is_digits that one-line notation shares.
 """
 
-# circuit.optimize's default rewrite budget; it lives in this base module so
-# that the CLI's parser states it without loading the optimizer
-DEFAULT_REWRITE_BUDGET = 10_000
-
 
 class PermGateError(Exception):
     """Base class for all errors raised by this package."""

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from permgate import circuit as circuit_module
 from permgate.circuit import (
     BUILTIN_GATES,
-    DEFAULT_REWRITE_BUDGET,
     Circuit,
     GateInstance,
     OptimizeReport,
@@ -22,11 +21,13 @@ from permgate.circuit import (
     optimize,
     parse_circuit,
     save_circuit,
+    _cancel_inverses,
+    _template_rewrite,
 )
 from permgate.errors import (CapExceeded, DimensionError, FileFormatError,
                              WiringError)
-from permgate.perm import Permutation
-from permgate.templates import (GateLibrary, TemplateStore,
+from permgate.perm import Permutation, enumerate_permutations
+from permgate.templates import (GateLibrary, TemplateStore, _RewriteScan,
                                 generate_templates, parse_store)
 
 X = BUILTIN_GATES["X"]
@@ -525,10 +526,10 @@ class TestCompiledGates:
         assert sorted(compiled) == first
 
 
-def rewritten(circuit, store, budget=DEFAULT_REWRITE_BUDGET, cancels=0):
+def rewritten(circuit, store, cancels=0):
     """optimize with a store, checking that its cancel pass removed exactly
     `cancels` gates, so the rest of the change is the rewrite pass's."""
-    out, report = optimize(circuit, store, budget)
+    out, report = optimize(circuit, store)
     assert report.cancelled_gates == cancels
     return out
 
@@ -632,23 +633,6 @@ class TestTemplateRewrite:
         c = Circuit(3, [inst(B_GATE, 0, 1), inst(B_GATE.inverse(), 0, 2)])
         assert rewritten(c, s4_store) == c
 
-    def test_budget_zero(self, s4_store):
-        u1, u2, _ = three_gate_template(s4_store)
-        c = Circuit(2, [inst(u1, 0, 1), inst(u2, 0, 1)])
-        assert rewritten(c, s4_store, budget=0) == c
-        assert len(rewritten(c, s4_store, budget=1)) == 1
-
-    def test_budget_counts_rewrites(self, s4_store):
-        # two windows, on wires (0, 1) and (1, 2), each rewritten to one gate
-        u1, u2, _ = three_gate_template(s4_store)
-        c = Circuit(3, [inst(u1, 0, 1), inst(u2, 0, 1),
-                        inst(u1, 1, 2), inst(u2, 1, 2)])
-        partial, report = optimize(c, s4_store, budget=1)
-        assert len(partial) == 3
-        assert (report.cancelled_gates, report.template_rewrites) == (0, 1)
-        assert circuit_permutation(partial) == circuit_permutation(c)
-        assert len(rewritten(c, s4_store, budget=2)) == 2
-
     def test_non_power_of_two_store_rejected(self):
         store = parse_store("templates dim=6\n"
                             "template: (6,1,2,3,4,5);(2,3,4,5,6,1)\n")
@@ -665,15 +649,49 @@ class TestTemplateRewrite:
         rng = random.Random(41)
         for _ in range(25):
             c = random_circuit(rng, 2, 12)
-            out, _ = optimize(c, s4_store, budget=200)
+            out, _ = optimize(c, s4_store)
             assert circuit_permutation(out) == circuit_permutation(c)
             assert len(out) <= len(c)
+
+    def test_long_circuit_reaches_its_fixpoint(self, s4_store):
+        # its fixpoint takes more than 10 000 rewrites, and every one runs
+        rng = random.Random(0)
+        s4 = list(enumerate_permutations(4))
+        c = Circuit(2, [inst(rng.choice(s4), 0, 1) for _ in range(30_000)])
+        out, report = optimize(c, s4_store)
+        assert len(out) == 1
+        assert report.template_rewrites > 10_000
+        assert equivalent(out, c) is None
+
+    def test_one_pass_is_linear_in_the_gate_count(self, monkeypatch):
+        # 1000 blocks that never match, then 100 windows of four gates
+        # composing to the identity; each rewrite moves at most longest - 1
+        # gates back after the window, so the pass tries at most
+        # len + rewrites * longest windows, where a scan restarting at gate
+        # 0 after each rewrite would try the 1000 blocks again each time
+        store = parse_store("templates dim=4\n"
+                            "template: (2,4,3,1);(2,4,3,1);(1,4,2,3);(3,2,4,1)\n")
+        calls = []
+        match = _RewriteScan.match
+        monkeypatch.setattr(_RewriteScan, "match", lambda self, perms: (
+            calls.append(len(perms)) or match(self, perms)))
+        cycle = Permutation([1, 2, 3, 0])
+        gates = ([inst(B_GATE, 0, 1), inst(B_GATE, 0, 1), inst(X, 2)] * 1000
+                 + ([inst(cycle, 0, 1)] * 4 + [inst(X, 2)]) * 100)
+        given = list(gates)
+        scan = _RewriteScan(store)
+        out, applied = _template_rewrite(gates, scan)
+        assert gates == given  # the pass builds a new list
+        assert (len(out), applied) == (3100, 100)
+        assert len(calls) <= len(gates) + applied * scan.longest
+        assert equivalent(Circuit(3, out), Circuit(3, gates)) is None
 
     def test_resumes_where_the_rewrite_can_reach(self):
         # the rewrite at gate 4 deletes gates 4-7, so gate 8 becomes the
         # last gate of the 4-gate window at gate 1 = 4 - 4 + 1, which only
-        # then matches; the scan must resume there, not later, or its second
-        # rewrite would be the template on wires (1, 0) at the end
+        # then matches; the pass must resume there, not later, or it would
+        # end after 2 rewrites, the second of them the template on wires
+        # (1, 0) at the end
         store = parse_store("templates dim=4\n"
                             "template: (2,4,3,1);(2,4,3,1);(1,4,2,3);(3,2,4,1)\n"
                             "template: (2,4,3,1);(1,4,2,3);(3,4,2,1);(3,4,2,1)\n")
@@ -686,12 +704,11 @@ class TestTemplateRewrite:
         c = Circuit(2, on((0, 1), "(4,1,3,2)", "(3,2,4,1)", "(4,3,1,2)",
                           "(4,3,1,2)", "(1,4,2,3)", "(1,4,2,3)", "(4,2,1,3)",
                           "(3,1,2,4)", "(3,1,2,4)") + tail)
-        assert rewritten(c, store, budget=1) == Circuit(2, on(
-            (0, 1), "(4,1,3,2)", "(3,2,4,1)", "(4,3,1,2)", "(4,3,1,2)",
-            "(3,1,2,4)") + tail)
-        assert rewritten(c, store, budget=2) == Circuit(
-            2, on((0, 1), "(4,1,3,2)") + tail)
-        assert rewritten(c, store) == Circuit(2, on((0, 1), "(4,1,3,2)"))
+        final = on((0, 1), "(4,1,3,2)")
+        gates, applied = _template_rewrite(_cancel_inverses(c.gates),
+                                           _RewriteScan(store))
+        assert (gates, applied) == (final, 3)
+        assert rewritten(c, store) == Circuit(2, final)
 
     def test_reversed_inverse_orientation(self):
         # the store keeps one orientation of a word, but the word read
@@ -739,25 +756,14 @@ class TestOptimize:
         assert len(out) == 0
         assert report.removed == 2
 
-    @pytest.mark.parametrize("with_store", [True, False])
-    def test_negative_budget_refused(self, s4_store, with_store):
-        c = Circuit(2, [inst(CNOT, 0, 1), inst(CNOT, 0, 1)])
-        store = s4_store if with_store else None
-        with pytest.raises(ValueError, match=r"^negative rewrite budget -3$"):
-            optimize(c, store, budget=-3)
-        assert optimize(c, store, budget=0)[0] == Circuit(2)
-
-    def test_non_power_of_two_store_refused_only_with_a_budget(self):
-        # a store with budget 0 is neither checked nor scanned
+    def test_non_power_of_two_store_refused(self):
         store = parse_store("templates dim=6\n"
                             "template: (6,1,2,3,4,5);(2,3,4,5,6,1)\n")
         c = Circuit(2, [inst(CNOT, 0, 1), inst(CNOT, 0, 1), inst(X, 1)])
-        assert optimize(c, store, budget=0) == optimize(c)
-        for budget in (1, DEFAULT_REWRITE_BUDGET):
-            with pytest.raises(DimensionError, match=(
-                    r"^store dimension 6 is not a power of two; it can never "
-                    r"match a window of qubit gates$")):
-                optimize(c, store, budget)
+        with pytest.raises(DimensionError, match=(
+                r"^store dimension 6 is not a power of two; it can never "
+                r"match a window of qubit gates$")):
+            optimize(c, store)
 
     def test_identity_gate_deleted(self):
         c = parse_circuit("qubits 1\ngate I 0\n")

@@ -185,7 +185,7 @@ class TestParser:
         (["classify", "--qubits", "2", "--decimals", "51"],
          "--decimals must be in 0..50"),
         (["optimize", "--circuit", "a.circ", "--out", "b.circ",
-          "--budget", "-1"], "--budget must be >= 0"),
+          "--budget", "1"], "unrecognized arguments: --budget 1"),
     ])
     def test_usage_error_line(self, capsys, argv, line):
         with pytest.raises(SystemExit) as exc:
@@ -194,12 +194,6 @@ class TestParser:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.endswith(f"\npermgate: error: {line}\n")
-
-    def test_budget_default_survives_an_explicit_budget(self):
-        parser = cli._build_parser()
-        base = ["optimize", "--circuit", "a.circ", "--out", "b.circ"]
-        assert parser.parse_args(base + ["--budget", "5"]).budget == 5
-        assert parser.parse_args(base).budget == circuit.DEFAULT_REWRITE_BUDGET
 
 
 class TestStats:
@@ -777,6 +771,24 @@ class TestOptimize:
         assert out == "gates_before=2\ngates_after=0\nremoved=2\nrewrites=0\n"
         assert out_path.read_text() == "qubits 1\n"
 
+    def test_long_circuit_reaches_its_fixpoint(self, capsys, tmp_path,
+                                               s4_store_path):
+        # its fixpoint takes more than 10 000 rewrites, and every one runs
+        rng = random.Random(0)
+        s4 = [p.one_line() for p in enumerate_permutations(4)]
+        circ, out_path = tmp_path / "long.circ", tmp_path / "long.opt"
+        circ.write_text("qubits 2\n" + "".join(
+            f"perm {rng.choice(s4)} 0 1\n" for _ in range(30_000)))
+        code, out, err = run(capsys, "optimize", "--circuit", str(circ),
+                             "--templates", str(s4_store_path),
+                             "--out", str(out_path))
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[:3] == ["gates_before=30000", "gates_after=1",
+                             "removed=29999"]
+        assert int(lines[3].removeprefix("rewrites=")) > 10_000
+        assert len(circuit.load_circuit(out_path)) == 1
+
     def test_cnot_pair_to_empty(self, capsys, tmp_path):
         circ = tmp_path / "c.circ"
         circ.write_text("qubits 2\ngate CNOT 0 1\ngate CNOT 0 1\n")
@@ -845,7 +857,7 @@ class TestOptimize:
                                "window of qubit gates\n")
         assert not (tmp_path / "o").exists()
 
-    def test_dim6_store_refused_only_with_a_budget(self, capsys, tmp_path):
+    def test_dim6_store_refused(self, capsys, tmp_path):
         circ = tmp_path / "c.circ"
         circ.write_text("qubits 1\ngate X 0\ngate X 0\ngate X 0\n")
         store = tmp_path / "dim6.tmpl"
@@ -854,10 +866,6 @@ class TestOptimize:
         out_path = tmp_path / "o.circ"
         argv = ["optimize", "--circuit", str(circ), "--templates", str(store),
                 "--out", str(out_path)]
-        assert run(capsys, *argv, "--budget", "0") == (
-            0, "gates_before=3\ngates_after=1\nremoved=2\nrewrites=0\n", "")
-        assert out_path.read_text() == "qubits 1\ngate X 0\n"
-        out_path.unlink()
         assert run(capsys, *argv) == (
             1, "", "error: store dimension 6 is not a power of two; it can "
                    "never match a window of qubit gates\n")
@@ -865,7 +873,7 @@ class TestOptimize:
 
     def test_non_equivalent_result_writes_nothing(self, capsys, tmp_path,
                                                   monkeypatch):
-        def wrong(circ, store=None, budget=0):
+        def wrong(circ, store=None):
             extra = circuit.GateInstance(circuit.BUILTIN_GATES["X"], (0,))
             report = circuit.OptimizeReport(len(circ), len(circ) + 1, 0, 0)
             return circuit.Circuit(circ.n_wires, circ.gates + (extra,)), report

@@ -268,6 +268,9 @@ class TestAlgebraicLaws:
     def test_hash_and_set_membership(self):
         assert len(set(s4())) == 24
 
-    def test_not_a_bijection_rejected(self):
-        with pytest.raises(ValueError, match="bijection"):
-            Permutation([0, 0, 1])
+    @pytest.mark.parametrize("images, message", [
+        ([0, 0, 1], r"^not a bijection on 0\.\.2: \[0, 0, 1\]$"),
+        ([1, 2], r"^not a bijection on 0\.\.1: \[1, 2\]$")])
+    def test_not_a_bijection_rejected(self, images, message):
+        with pytest.raises(ValueError, match=message):
+            Permutation(images)

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 import permgate
 from permgate.circuit import (
     BUILTIN_GATES,
-    DEFAULT_REWRITE_BUDGET,
     Circuit,
     GateInstance,
     OptimizeReport,
@@ -191,17 +190,15 @@ def ref_scan_lookup(store):
     return ranked, first
 
 
-def ref_optimize(circuit, store, budget=DEFAULT_REWRITE_BUDGET):
+def ref_optimize(circuit, store):
     templates = sorted(store.templates, key=lambda t: -len(t.gates))
     before, cancelled, rewrites = len(circuit), 0, 0
     while True:
         shrunk = Circuit(circuit.n_wires, ref_cancel(circuit.gates), force=True)
         cancelled += len(circuit) - len(shrunk)
         circuit = shrunk
-        if rewrites >= budget:
-            break
         applied = 0
-        while rewrites + applied < budget:
+        while True:
             hit = ref_find_rewrite(circuit, templates, store.dimension)
             if hit is None:
                 break
@@ -325,10 +322,9 @@ def test_partial_stores_match_reference(library, data):
 def test_optimize_matches_reference(library, data):
     store = generate_templates(library, max_size_for(library))
     ref = ref_generate(library, max_size_for(library), 50_000)
-    budget = data.draw(st.sampled_from([DEFAULT_REWRITE_BUDGET, 0, 1, 3]))
     for _ in range(3):
         circuit = data.draw(circuits(list(library.gates)))
-        assert optimize(circuit, store, budget) == ref_optimize(circuit, ref, budget)
+        assert optimize(circuit, store) == ref_optimize(circuit, ref)
 
 
 @SETTINGS

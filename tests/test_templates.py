@@ -78,10 +78,12 @@ def s4_max4_lines():
 
 
 class TestGateLibrary:
-    def test_symmetric_group(self):
-        lib = GateLibrary.symmetric_group(2)
-        assert lib.names == ("(1,2)", "(2,1)")
-        assert len(lib) == 2
+    @pytest.mark.parametrize("dimension, names", [
+        (1, ("(1)",)), (2, ("(1,2)", "(2,1)"))])
+    def test_symmetric_group(self, dimension, names):
+        lib = GateLibrary.symmetric_group(dimension)
+        assert lib.names == names
+        assert len(lib) == len(names)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="names"):
@@ -94,6 +96,8 @@ class TestGateLibrary:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             GateLibrary(2, [("a", Permutation([0, 1, 2]))])
+        with pytest.raises(DimensionError, match="^invalid dimension 0$"):
+            GateLibrary(0, [])
 
     def test_closure_check(self):
         open_lib = GateLibrary(2, [("X", Permutation([1, 0]))])
@@ -499,7 +503,8 @@ class TestStoreFiles:
                 "# a comment\n"
                 "\n"
                 "   # an indented comment\n"
-                "template: (2,1);(2,1)\n")
+                "template: (2,1);(2,1)\n"
+                "template:(2,1);(2,1)\n")  # no space after the colon
         store = parse_store(text)
         assert len(store) == 1
         # a '#' after a line's gates is part of its last gate's text
