@@ -35,6 +35,14 @@ line's gate texts to indices in one step and parses a gate text only
 the first time it turns up, after refusing, unless forced, a line of
 more than MAX_TEMPLATE_SIZE gates by its length alone.
 
+Loading verifies every line but keeps the words in file order and leaves
+the deduplication to the first read of the store's contents (its length,
+its templates, its file text, a subsumption walk).  The rewrite scan
+reads none of these: it ranks the words as they stand, and a line that
+repeats an earlier one up to symmetry ranks after it and never wins a
+lookup (_RewriteScan gives the proof), so optimizing with a loaded store
+builds no rotation at all.
+
 Every stored word composes to the identity, so the rewrite scan's lookup
 keys the p gates from an offset by the inverse of the m - p gates after
 them: the identity for p = m, one inverse for p = m - 1, and a product
@@ -49,6 +57,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -257,6 +266,15 @@ class TemplateStore:
     what every check, the store file and the rewrite scan read;
     ``templates`` gives them as Template objects, in the same order, in a
     new list on each access.  ``x in store`` raises TypeError.
+
+    parse_store hands over its verified words in file order, duplicates
+    and all.  The first read of the store's contents (``len``,
+    ``templates``, format_store or save_store, the subsumption walk) keeps
+    the first line of each symmetry class, in order, and builds the
+    rotation set, once however many threads read at the same time.  The
+    rewrite scan does not wait for it: duplicates change none of its
+    rewrites (see _RewriteScan), so optimize with a loaded store skips
+    that work.
     """
 
     def __init__(self, dimension: int):
@@ -267,15 +285,32 @@ class TemplateStore:
         self._table = GateTable(dimension)
         self._words: list[tuple[int, ...]] = []
         self._rotations: set[tuple[int, ...]] = set()  # of all stored words
+        # parse_store's words in file order, until the first read keeps the
+        # first of each class in _words; never changed while it is set
+        self._as_read: list[tuple[int, ...]] | None = None
+        # a lock of its own: the table's is taken by inv[...] in _known
+        self._dedup_lock = threading.Lock()
+
+    def _deduplicated(self) -> list[tuple[int, ...]]:
+        """The stored words, deduplicating parse_store's on first use."""
+        if self._as_read is not None:
+            with self._dedup_lock:
+                as_read = self._as_read
+                if as_read is not None:
+                    for word in as_read:
+                        if not self._known(word):
+                            self._insert(word)
+                    self._as_read = None  # published last
+        return self._words
 
     @property
     def templates(self) -> list[Template]:
         perms = self._table.perms
         return [Template(tuple([perms[i] for i in word]))
-                for word in self._words]
+                for word in self._deduplicated()]
 
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self._deduplicated())
 
     def _known(self, word: tuple[int, ...]) -> bool:
         """The word is stored up to rotation and reversal with inverses."""
@@ -290,6 +325,8 @@ class TemplateStore:
         self._words.append(word)
 
     def _subsumes(self, word: tuple[int, ...]) -> bool:
+        if self._as_read is not None:
+            self._deduplicated()
         table = self._table
         mul, e = table.mul, table.identity
         n = len(word)
@@ -313,8 +350,10 @@ def _rotators(n: int) -> tuple[operator.itemgetter, ...]:
 class _RewriteScan:
     """The rewrite lookup of one store; match picks each rewrite.
 
-    ``ranked`` holds the words longest first, store order within a length;
-    the scan tries them in that order.  ``first[p][g]`` is the smallest
+    ``ranked`` holds the store's words as they stand, longest first, store
+    order within a length: a loaded store's lines as read, duplicates and
+    all, until something reads its contents, the deduplicated words after.
+    The scan tries them in that order.  ``first[p][g]`` is the smallest
     (rank, offset) whose p cyclically consecutive gates from ``offset``
     compose to table index g, over every strict majority p (m // 2 < p <= m)
     of every word of length m.  So for a window of p gates composing to g,
@@ -330,11 +369,36 @@ class _RewriteScan:
     are inverses of their gates; so the build reads the words of such a
     length in rank order only until ``first[m - 1]`` holds the inverse of
     every gate they use, since each later word would add nothing.
+
+    Duplicates change no rewrite.  match takes the least hit by rank, then
+    largest p, then forward before backwards, and first[p] holds each key's
+    least (rank, offset), so match returns the least of all hits, every
+    offset of every word at every p and in both directions: a hit is p gates
+    of a word from an offset composing to the window product (forward) or
+    its inverse (backwards).  A line repeating an earlier one up to symmetry
+    repeats its class's first line, the one the deduplication keeps: that
+    original has its length and comes before it in the file, so it ranks
+    before it.  A rotation duplicate has exactly its original's keys: its p
+    gates from an offset are the original's from another offset.  A
+    reversed-inverse duplicate's p gates from an offset are p consecutive
+    gates of the original read backwards and inverted, so its forward key k
+    is the original's key inv[k] at the same p; the window that hits k in
+    one direction hits inv[k] in the other.  So each hit on a duplicate
+    loses to a hit on its original at the same p and a smaller rank.  The
+    kept words rank in the same order with or without the duplicates between
+    them, so the least hit, and with it every match result, is the one the
+    deduplicated words give.  first may also hold a key only a
+    reversed-inverse duplicate has, which loses the same way; and the
+    3/4-gate early stop counts the gates of every word of the length,
+    duplicates included, so it still ends only once every key that could be
+    added is present.
     """
 
     def __init__(self, store: TemplateStore):
         self.table = table = store._table
-        self.ranked = sorted(store._words, key=len, reverse=True)
+        as_read = store._as_read  # read once: a whole list either way
+        self.ranked = sorted(store._words if as_read is None else as_read,
+                             key=len, reverse=True)
         self.longest = len(self.ranked[0]) if self.ranked else 0
         self.first: list[dict[int, tuple[int, int]]] = [
             {} for _ in range(self.longest + 1)]
@@ -489,7 +553,8 @@ def format_store(store: TemplateStore) -> str:
     sorted by size then text for stable output."""
     texts = [p.one_line() for p in store._table.perms]
     lines = [f"templates dim={store.dimension}"]
-    body = sorted((len(w), ";".join([texts[i] for i in w])) for w in store._words)
+    body = sorted((len(w), ";".join([texts[i] for i in w]))
+                  for w in store._deduplicated())
     lines.extend(f"template: {text}" for _, text in body)
     return "\n".join(lines) + "\n"
 
@@ -501,7 +566,8 @@ def parse_store(text: str, force: bool = False) -> TemplateStore:
     MAX_TEMPLATE_SIZE gates is refused by check_cap unless force is set,
     before its gate texts are read.  Each distinct gate text is parsed
     (and validated) once and interned in the store's gate table; every
-    line is then verified and deduplicated as an index word.  Raises
+    line is then verified as an index word, and the words are kept in
+    file order for the store to deduplicate on first read.  Raises
     FileFormatError with the 1-based line number (lines as str.splitlines
     splits them) on any malformed, non-identity or refused line.
     """
@@ -518,8 +584,7 @@ def parse_store(text: str, force: bool = False) -> TemplateStore:
     # of another dimension; each text is stripped and parsed on first sight
     seen: dict[str, int | None] = {}
     index_of, dimension, table = seen.__getitem__, store.dimension, store._table
-    verifies, inverse = table.is_identity_word, table.inv.__getitem__
-    rotations, insert = store._rotations, store._insert
+    verifies, words = table.is_identity_word, []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -549,10 +614,8 @@ def parse_store(text: str, force: bool = False) -> TemplateStore:
                     f"template does not compose to identity: {table.text(word)}")
         except (CapExceeded, ValueError) as exc:
             raise FileFormatError(lineno, str(exc)) from None
-        # new up to rotation and reversal with inverses
-        if (word not in rotations
-                and tuple(map(inverse, reversed(word))) not in rotations):
-            insert(word)
+        words.append(word)
+    store._as_read = words
     return store
 
 

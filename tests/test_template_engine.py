@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permgate
+from permgate import cli
 from permgate.circuit import (
     BUILTIN_GATES,
     Circuit,
@@ -37,6 +38,7 @@ from permgate.perm import Permutation, _product, enumerate_permutations
 from permgate.templates import (
     GateLibrary,
     Template,
+    TemplateStore,
     _RewriteScan,
     expand_template,
     format_store,
@@ -171,11 +173,17 @@ def ref_find_rewrite(circuit, templates, dimension):
     return None
 
 
+def scan_words(store):
+    """The words the rewrite scan ranks: a loaded store's lines as read
+    until the first read of its contents deduplicates them."""
+    return store._words if store._as_read is None else store._as_read
+
+
 def ref_scan_lookup(store):
     """The rewrite scan's ranked words and per-length lookup, each window
     keyed by its own forward composition, over the store's gate table."""
     mul = store._table.mul
-    ranked = sorted(store._words, key=lambda w: -len(w))
+    ranked = sorted(scan_words(store), key=lambda w: -len(w))
     longest = len(ranked[0]) if ranked else 0
     first = [{} for _ in range(longest + 1)]
     for rank, word in enumerate(ranked):
@@ -244,18 +252,20 @@ def max_size_for(library):
 
 
 @st.composite
-def circuits(draw, pool):
-    """Same-wire runs of two-qubit gates on 3 wires, from `pool` or all of
-    S_4, some followed by a one-qubit X."""
+def circuits(draw, pool, widths=st.just(3)):
+    """Same-wire runs of two-qubit gates on 3 wires (or a width drawn from
+    `widths`), from `pool` or all of S_4, some followed by a one-qubit X."""
+    n_wires = draw(widths)
     gate = st.sampled_from(pool) | st.sampled_from(S4)
     gates = []
     for _ in range(draw(st.integers(0, 5))):
-        wires = tuple(draw(st.permutations(range(3)))[:2])
+        wires = tuple(draw(st.permutations(range(n_wires)))[:2])
         for perm in draw(st.lists(gate, min_size=1, max_size=6)):
             gates.append(GateInstance(perm, wires))
         if draw(st.booleans()):
-            gates.append(GateInstance(BUILTIN_GATES["X"], (draw(st.integers(0, 2)),)))
-    return Circuit(3, gates)
+            gates.append(GateInstance(BUILTIN_GATES["X"],
+                                      (draw(st.integers(0, n_wires - 1)),)))
+    return Circuit(n_wires, gates)
 
 
 @st.composite
@@ -358,27 +368,62 @@ def test_loader_errors_match_reference(text, data):
     assert str(ours.value) == str(theirs.value)
 
 
-def test_store_shared_across_threads():
+def rotations_of(words):
+    return {w[k:] + w[:k] for w in words for k in range(len(w))}
+
+
+def test_store_shared_across_threads(monkeypatch):
     # threads optimizing with one loaded store intern the circuits' new
-    # gates into its table at the same time; each must still get the
-    # result of a store used by one thread
-    text = ("templates dim=4\n"
-            "template: (2,4,3,1);(2,4,3,1);(1,4,2,3);(3,2,4,1)\n"
-            "template: (2,4,3,1);(1,4,2,3);(3,4,2,1);(3,4,2,1)\n"
-            "template: (2,1,3,4);(2,1,3,4)\n")
+    # gates into its table at the same time, while others read its length
+    # and templates, the first of which deduplicates the lines as read;
+    # each must still get the result of a store used by one thread, and
+    # the deduplication runs once
+    lines = list(s4_store_lines(3))
+    text = "".join(["templates dim=4\n",
+                    "template: (2,4,3,1);(2,4,3,1);(1,4,2,3);(3,2,4,1)\n",
+                    "template: (2,4,3,1);(1,4,2,3);(3,4,2,1);(3,4,2,1)\n",
+                    "template: (2,1,3,4);(2,1,3,4)\n"]
+                   + [line + "\n" for line in lines + lines[::-1]])
     rng = random.Random(7)
     circuits = [Circuit(2, [GateInstance(rng.choice(S4), (0, 1))
                             for _ in range(12)]) for _ in range(16)]
     expected = [optimize(c, parse_store(text)) for c in circuits]
+    alone = parse_store(text)
+    size, templates = len(alone), gate_lists(alone)
+    assert size < text.count("template:")
+
+    def read(i, circuit):
+        # each thread reads the three ways, in one of three orders
+        steps = [lambda: optimize(circuit, store), lambda: len(store),
+                 lambda: gate_lists(store)]
+        out = [None] * 3
+        for k in (0, 1, 2)[i % 3:] + (0, 1, 2)[:i % 3]:
+            out[k] = steps[k]()
+        return out
+
+    known = []
+    real_known = TemplateStore._known
+
+    def counted_known(self, word):
+        known.append(word)
+        return real_known(self, word)
+
+    monkeypatch.setattr(TemplateStore, "_known", counted_known)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
             store = parse_store(text)
+            known.clear()
             with ThreadPoolExecutor(max_workers=8) as pool:
-                results = list(pool.map(lambda c: optimize(c, store), circuits,
+                results = list(pool.map(read, range(len(circuits)), circuits,
                                         timeout=60))
-            assert results == expected
+            assert [r[0] for r in results] == expected
+            assert {r[1] for r in results} == {size}
+            assert all(r[2] == templates for r in results)
+            assert len(known) == text.count("template:")  # one pass
+            assert len(set(store._words)) == len(store._words) == size
+            assert store._rotations == rotations_of(store._words)
             images = [p.images for p in store._table.perms]
             assert len(set(images)) == len(images)
     finally:
@@ -488,11 +533,17 @@ def test_one_rotation_set_per_stored_template():
     # S_4 max 4 keeps 1507 of 7056 candidates.  Each stored template adds
     # its rotations once, and per candidate only the rotation-set lookup
     # and the subsumption walk may run: no canonical key or degeneracy
-    # routine.
+    # routine.  A loaded store adds them at the first read of its length.
     library = GateLibrary.symmetric_group(4)
     store, made = calls_into_permgate(lambda: generate_templates(library, 4))
     text = format_store(store)
-    loaded, read = calls_into_permgate(lambda: parse_store(text))
+
+    def load_and_read():
+        loaded = parse_store(text)
+        len(loaded)
+        return loaded
+
+    loaded, read = calls_into_permgate(load_and_read)
     assert len(store) == len(loaded) == 1507
     per_candidate = {"try_add", "_known", "_subsumes", "<listcomp>"}
     for result, counts in ((store, made), (loaded, read)):
@@ -508,6 +559,53 @@ def test_one_rotation_set_per_stored_template():
     _, walked = calls_into_permgate(
         lambda: generate_templates(GateLibrary.symmetric_group(3), 6))
     assert walked["_subsumes"] > 0
+
+
+def test_optimize_with_a_loaded_store_deduplicates_nothing(tmp_path):
+    # the rewrite scan ranks the lines as read, so neither optimize nor the
+    # optimize command builds a rotation or looks a line up; a later read
+    # of the store's length still deduplicates it
+    lines = list(s4_store_lines(3))
+    text = "templates dim=4\n" + "".join(
+        line + "\n" for line in lines + lines[::-1])
+    rng = random.Random(3)
+    circuit = Circuit(2, [GateInstance(rng.choice(S4), (0, 1))
+                          for _ in range(40)])
+    store = parse_store(text)
+    (_, report), counts = calls_into_permgate(lambda: optimize(circuit, store))
+    assert report.template_rewrites > 0
+    assert counts["_insert"] == counts["_known"] == 0
+    assert len(store) == len(lines)
+    (tmp_path / "s.tmpl").write_text(text)
+    (tmp_path / "c.circ").write_text("qubits 2\n" + "".join(
+        f"perm {g.gate.one_line()} 0 1\n" for g in circuit.gates))
+    argv = ["optimize", "--circuit", str(tmp_path / "c.circ"), "--templates",
+            str(tmp_path / "s.tmpl"), "--out", str(tmp_path / "c.opt")]
+    code, counts = calls_into_permgate(lambda: cli.main(argv))
+    assert code == 0
+    assert counts["_insert"] == counts["_known"] == 0
+
+
+READS = {"len": len, "templates": gate_lists, "format_store": format_store}
+
+
+@pytest.mark.parametrize("read", [*READS, "_subsumes"])
+def test_each_read_of_a_loaded_store_deduplicates_it(read):
+    # the S_4 max-3 store, then its lines again in reverse order
+    lines = list(s4_store_lines(3))
+    plain = parse_store("templates dim=4\n" + "".join(
+        line + "\n" for line in lines))
+    store = parse_store("templates dim=4\n" + "".join(
+        line + "\n" for line in lines + lines[::-1]))
+    assert len(store._as_read) == 2 * len(lines)
+    assert store._words == [] and store._rotations == set()
+    if read == "_subsumes":
+        # the doubled last line holds it as a cyclic factor
+        assert store._subsumes(store._as_read[-1] * 2)
+    else:
+        assert READS[read](store) == READS[read](plain)
+    assert store._as_read is None and len(store._words) == len(lines)
+    assert store._rotations == rotations_of(store._words)
 
 
 @pytest.mark.parametrize("dimension, budget", [
@@ -542,10 +640,14 @@ template: (2,3,4,1);(2,3,4,1);(2,1,4,3);(1,2,3,4);(3,4,1,2);(2,1,4,3)
 
 
 def assert_scan_matches_forward_walk(store):
-    scan = _RewriteScan(store)
-    ranked, first = ref_scan_lookup(store)
-    assert scan.ranked == ranked
-    assert scan.first == first
+    # a loaded store's scan ranks its lines as read until the first read of
+    # the store's length deduplicates them: both states are checked
+    for _ in range(2):
+        scan = _RewriteScan(store)
+        ranked, first = ref_scan_lookup(store)
+        assert scan.ranked == ranked
+        assert scan.first == first
+        len(store)
 
 
 def shuffled(text, rng):
@@ -612,19 +714,90 @@ def test_scan_lookup_on_a_store_not_closed_under_inverses():
 
 
 @functools.cache
-def s4_max4_lines():
-    text = format_store(generate_templates(GateLibrary.symmetric_group(4), 4))
-    return text.splitlines()[1:]
+def s4_store_lines(max_size):
+    text = format_store(generate_templates(GateLibrary.symmetric_group(4),
+                                           max_size))
+    return tuple(text.splitlines()[1:])
 
 
 @SETTINGS
 @given(data=st.data())
 def test_scan_lookup_on_shuffled_subsets_of_a_store(data):
-    lines = data.draw(st.lists(st.sampled_from(s4_max4_lines()), min_size=1,
+    lines = data.draw(st.lists(st.sampled_from(s4_store_lines(4)), min_size=1,
                                max_size=60, unique=True))
     lines = data.draw(st.permutations(lines))
     assert_scan_matches_forward_walk(
         parse_store("\n".join(["templates dim=4"] + lines) + "\n"))
+
+
+def line_word(line):
+    return tuple(map(Permutation.from_one_line, line[len("template: "):].split(";")))
+
+
+def word_line(word):
+    return "template: " + ";".join(g.one_line() for g in word)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_duplicate_lines_change_no_rewrite(data):
+    # a shuffled subset of the S_4 max-4 and max-5 stores, and the same
+    # lines with rotations, reversed inverses and exact repeats of earlier
+    # lines inserted after them: optimize and match read the padded lines
+    # as read and must not tell the two apart, and once deduplicated the
+    # padded store is the plain one
+    # max-5 holds max-4's lines too: these draw the shorter lines more often
+    pool = s4_store_lines(4) + s4_store_lines(5)
+    lines = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40,
+                               unique=True))
+    lines = data.draw(st.permutations(lines))
+    padded = list(lines)
+    for _ in range(data.draw(st.integers(1, 40))):
+        at = data.draw(st.integers(0, len(padded) - 1))
+        word = line_word(padded[at])
+        r = data.draw(st.integers(0, len(word) - 1))
+        word = word[r:] + word[:r]
+        if data.draw(st.booleans()):
+            word = tuple(g.inverse() for g in reversed(word))
+        padded.insert(data.draw(st.integers(at + 1, len(padded))),
+                      word_line(word))
+    plain = parse_store("\n".join(["templates dim=4"] + lines) + "\n")
+    store = parse_store("\n".join(["templates dim=4"] + padded) + "\n")
+    assert len(store._as_read) == len(padded)
+    gates = sorted({g for line in lines for g in line_word(line)})
+    for _ in range(3):
+        circuit = data.draw(circuits(gates, widths=st.integers(2, 4)))
+        assert optimize(circuit, store) == optimize(circuit, plain)
+    windows = data.draw(st.lists(
+        st.lists(st.sampled_from(gates) | st.sampled_from(S4), min_size=2,
+                 max_size=4), min_size=1, max_size=20))
+    reference = [_RewriteScan(plain).match(w) for w in windows]
+    as_read = _RewriteScan(store)
+    assert store._as_read is not None  # optimize and the scan read nothing
+    assert [as_read.match(w) for w in windows] == reference
+    assert len(store) == len(plain)
+    assert gate_lists(store) == gate_lists(plain)
+    assert format_store(store) == format_store(plain)
+    deduplicated = _RewriteScan(store)
+    assert len(deduplicated.ranked) == len(plain)
+    assert [deduplicated.match(w) for w in windows] == reference
+
+
+def test_forward_hit_wins_a_tie_with_the_backward_one():
+    # the window's product is an involution, so at p = 3 the forward and
+    # the backward lookup return the same hit: same rank, same p, and the
+    # forward reading's replacement is the one the reference scan returns
+    store = generate_templates(GateLibrary.symmetric_group(4), 5)
+    window = [Permutation.from_one_line(g)
+              for g in ("(1,2,4,3)", "(1,3,2,4)", "(1,2,4,3)")]
+    assert _product(window, 4).is_involution()
+    scan = _RewriteScan(store)
+    p, replacement = scan.match(window)
+    assert (p, [g.one_line() for g in replacement]) == (3, ["(1,4,2,3)", "(1,2,4,3)"])
+    circuit = Circuit(2, [GateInstance(g, (0, 1)) for g in window])
+    ranked = sorted(store.templates, key=lambda t: -len(t.gates))
+    assert ref_find_rewrite(circuit, ranked, 4) == (
+        0, 3, [GateInstance(g, (0, 1)) for g in replacement])
 
 
 # --- byte identity ----------------------------------------------------------
