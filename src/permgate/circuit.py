@@ -9,8 +9,19 @@ wire over all 2**n basis indices.  Each distinct gate permutation is
 compiled, once per call, into the algebraic normal form of how it changes
 each of its bits (XORs of ANDs of its input bits), and each gate instance
 XORs those few terms of its wires' old ints into the wires it changes.
-circuit_permutation transposes the ints to images, and equivalent XORs two
-circuits' ints for the first differing index.  No circuit code needs numpy.
+circuit_permutation transposes the ints to images.  No circuit code needs
+numpy.
+
+equivalent(a, b) simulates neither circuit in full.  It reduces the word
+a b^-1, a's gates and then b's in reverse order, each inverted: a gate
+slides past gates on other wires, with which it commutes, to the first
+earlier gate it shares a wire with, and merges into it when the two are on
+the same ordered wires, so a gate and its inverse cancel.  Each step keeps
+the word's permutation, and a(s) = b(s) exactly when b^-1(a(s)) = s, so
+the first basis index that the reduced word moves is the first one where
+a and b differ.  Only the gates left are simulated, and when none is left
+nothing is: the check costs what survives of a b^-1, not the circuits'
+length.
 
 Rewriting never widens a circuit: identity gates and adjacent
 mutually-inverse pairs on the same wires are deleted, and any window
@@ -34,7 +45,8 @@ import struct
 import sys
 from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING
+from itertools import compress
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import (DimensionError, FileFormatError, PermGateError,
                      WiringError, _int, _read_ascii, check_cap)
@@ -148,27 +160,32 @@ def _anf_plan(images) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
             for m, v in enumerate(table) if v]
 
 
-def _wire_ints(circuit: Circuit, plans: dict) -> list[int]:
-    """Bit s of wire w's int is bit w of the image of basis index s.
-
-    Each distinct gate permutation is compiled once into its _anf_plan,
-    memoised in `plans` by its images; callers pass a new dict per call.
-    A gate instance reads its wires' old ints (its first wire is the top
-    local bit) and XORs each monomial of those into the wires it changes:
-    X is one XOR with the all-ones int, CNOT one XOR, TOFFOLI one AND and
-    one XOR.
-    """
-    size = 2 ** circuit.n_wires
+def _patterns(n_wires: int) -> list[int]:
+    """The wire ints before any gate: bit s of wire w's int is bit w of s."""
+    size = 2 ** n_wires
     # a base-2 int() is linear in the length; a division form is quadratic
-    wires = [int(("1" * 2 ** w + "0" * 2 ** w) * (size >> w + 1), 2)
-             for w in range(circuit.n_wires)]
-    ones = (1 << size) - 1
-    for inst in circuit.gates:
-        images = inst.gate.images
+    return [int(("1" * 2 ** w + "0" * 2 ** w) * (size >> w + 1), 2)
+            for w in range(n_wires)]
+
+
+def _wire_ints(start: list[int], gates) -> list[int]:
+    """The wire ints `start` after the (images, wires) pairs `gates`: bit s
+    of wire w's int is bit w of the image of basis index s.
+
+    Each distinct gate permutation is compiled once per call into its
+    _anf_plan, memoised by its images.  A gate reads its wires' old ints
+    (its first wire is the top local bit) and XORs each monomial of those
+    into the wires it changes: X is one XOR with the all-ones int, CNOT one
+    XOR, TOFFOLI one AND and one XOR.
+    """
+    wires = list(start)
+    ones = (1 << 2 ** len(wires)) - 1
+    plans: dict = {}
+    for images, on in gates:
         plan = plans.get(images)
         if plan is None:
             plan = plans[images] = _anf_plan(images)
-        at = inst.wires[::-1]  # local bit j is on wire at[j]
+        at = on[::-1]  # local bit j is on wire at[j]
         old = [wires[w] for w in at]
         old.append(ones)  # the constant monomial's factor
         for first, rest, outputs in plan:
@@ -183,7 +200,9 @@ def _wire_ints(circuit: Circuit, plans: dict) -> list[int]:
 def circuit_permutation(circuit: Circuit) -> Permutation:
     """The circuit's denotation on 2**n basis indices, leftmost gate first:
     each lane of eight wire ints gives one byte of each 64-bit image."""
-    wires, size = _wire_ints(circuit, {}), 2 ** circuit.n_wires
+    size = 2 ** circuit.n_wires
+    wires = _wire_ints(_patterns(circuit.n_wires),
+                       ((inst.gate.images, inst.wires) for inst in circuit.gates))
     field = bytearray(8 * size)
     for lane in range(0, len(wires), 8):
         byte = sum(int.from_bytes(f"{x:b}".encode().translate(_SPREAD), "big") << j
@@ -192,17 +211,85 @@ def circuit_permutation(circuit: Circuit) -> Permutation:
     return Permutation(struct.unpack(f"<{size}Q", field))
 
 
+def _inverse(images: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse permutation's images, or () for an identity."""
+    inv = [0] * len(images)
+    for j, img in enumerate(images):
+        inv[img] = j
+    return () if inv == list(range(len(inv))) else tuple(inv)
+
+
+def _difference(a: Circuit, b: Circuit
+                ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]] | None:
+    """The word a b^-1, a's gates and then b's in reverse order, each
+    inverted, reduced: an iterator over the (images, wires) pairs left,
+    leftmost first, or None when no gate is left.
+
+    A gate commutes past gates on wires it does not touch, so each incoming
+    gate slides down to the first earlier live gate it shares a wire with.
+    If that gate is on the same ordered wires the two merge into their
+    product (the earlier one applied first), and an identity product
+    removes both; otherwise the incoming gate is appended.  Identity gates
+    are dropped.  Each step keeps the word's permutation.  Each wire keeps
+    a stack of its live gates: a removed gate is the latest on every wire
+    it has, so finding the partner and removing it take O(k) for a k-wire
+    gate.  Two gates cancel exactly when the earlier one's images equal the
+    incoming gate's inverse, so a gate of b, which enters inverted, cancels
+    a gate with its own images; only a merge that leaves a gate builds a
+    product.
+    """
+    inverses: dict = {}  # images -> _inverse(images), once per call
+    images_of: list = []  # per gate of the word; None once removed
+    wires_of: list = []
+    on_wire = [[-1] for _ in range(a.n_wires)]  # -1: no gate below
+    for inverted, gates in ((False, a.gates), (True, reversed(b.gates))):
+        for inst in gates:
+            images = inst.gate.images
+            inv = inverses.get(images)
+            if inv is None:
+                inv = inverses[images] = _inverse(images)
+            if not inv:  # an identity
+                continue
+            gate, undo = (inv, images) if inverted else (images, inv)
+            wires = inst.wires
+            at = max([on_wire[w][-1] for w in wires])
+            if at >= 0 and wires_of[at] == wires:
+                if images_of[at] == undo:
+                    images_of[at] = None
+                    for w in wires:
+                        on_wire[w].pop()
+                else:
+                    images_of[at] = tuple([gate[j] for j in images_of[at]])
+                continue
+            at = len(images_of)  # one int, shared by the wires' stacks
+            for w in wires:
+                on_wire[w].append(at)
+            images_of.append(gate)
+            wires_of.append(wires)
+    # lazily, so the pairs cost no memory beyond the word's two lists
+    return (compress(zip(images_of, wires_of), images_of)
+            if any(images_of) else None)
+
+
 def equivalent(a: Circuit, b: Circuit) -> int | None:
     """None when the two circuits have the same permutation, else the first
-    basis index they send to different images."""
+    basis index they send to different images.
+
+    a(s) = b(s) exactly when b^-1(a(s)) = s, so this is the first basis
+    index that the reduced word a b^-1 (see _difference) moves.  Only the
+    gates left in it are simulated, and when none is left no 2**n-bit int
+    is built at all.
+    """
     if a.n_wires != b.n_wires:
         raise DimensionError(
             f"wire counts differ ({a.n_wires} vs {b.n_wires})"
         )
-    plans: dict = {}  # shared by both circuits, dropped after this call
-    diff = reduce(int.__or__, map(int.__xor__, _wire_ints(a, plans),
-                                  _wire_ints(b, plans)))
-    return (diff & -diff).bit_length() - 1 if diff else None
+    word = _difference(a, b)
+    if word is None:
+        return None
+    start = _patterns(a.n_wires)
+    moved = reduce(int.__or__, map(int.__xor__, _wire_ints(start, word), start))
+    return (moved & -moved).bit_length() - 1 if moved else None
 
 
 def _cancel_inverses(gates) -> list[GateInstance]:

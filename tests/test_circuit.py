@@ -1,7 +1,10 @@
 import dataclasses
+import operator
 import random
 import re
 import sys
+import time
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -152,10 +155,10 @@ def round_trip_circuits(draw):
     return Circuit(n_wires, gates)
 
 
-def mixed_gate(draw, n_wires: int) -> Permutation:
-    """A 1-4-qubit gate that fits n_wires: a builtin (I included), an
-    identity, or an inline permutation."""
-    k = draw(st.integers(1, min(4, n_wires)))
+def mixed_gate(draw, n_wires: int, widest: int = 4) -> Permutation:
+    """A gate of 1 to `widest` qubits that fits n_wires: a builtin (I
+    included), an identity, or an inline permutation."""
+    k = draw(st.integers(1, min(widest, n_wires)))
     builtins = [g for g in BUILTIN_GATES.values() if g.size == 2 ** k]
     kind = draw(st.sampled_from(["builtin", "identity", "inline"]))
     if kind == "builtin" and builtins:
@@ -201,6 +204,85 @@ def mixed_circuit_pairs(draw):
     else:
         b = gates()
     return Circuit(n_wires, a), Circuit(n_wires, b)
+
+
+@st.composite
+def edited_pairs(draw):
+    """(a, b, kept) on 1-9 wires: a base circuit a of 1-5-qubit builtin,
+    inline and identity gates, and b made from it by 1-4 edits.  kept is
+    True when every edit keeps the permutation: inserting an inverse pair
+    (later pairs may nest inside earlier ones), swapping neighbours on
+    disjoint wires, or splitting a gate into a same-wire run whose product
+    it is.  The other edits replace a gate, swap neighbours that share a
+    wire, or put a gate on its wire set in another order."""
+    n_wires = draw(st.integers(1, 9))
+
+    def on(gate, wires=None):
+        k = gate.size.bit_length() - 1
+        if wires is None:
+            wires = tuple(draw(st.permutations(range(n_wires)))[:k])
+        return GateInstance(gate, wires)
+
+    a = [on(mixed_gate(draw, n_wires, 5))
+         for _ in range(draw(st.integers(0, 10)))]
+    b = list(a)
+    kept = True
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(["pair", "commute", "split", "replace",
+                                     "swap", "reorder"]))
+        disjoint = [i for i in range(len(b) - 1)
+                    if not set(b[i].wires) & set(b[i + 1].wires)]
+        shared = [i for i in range(len(b) - 1)
+                  if set(b[i].wires) & set(b[i + 1].wires)]
+        if edit == "pair":
+            g = on(mixed_gate(draw, n_wires, 5))
+            pos = draw(st.integers(0, len(b)))
+            b[pos:pos] = [g, GateInstance(g.gate.inverse(), g.wires)]
+        elif edit == "commute" and disjoint:
+            i = draw(st.sampled_from(disjoint))
+            b[i], b[i + 1] = b[i + 1], b[i]
+        elif edit == "split" and b:
+            pos = draw(st.integers(0, len(b) - 1))
+            g = b[pos]
+            first = Permutation(draw(st.permutations(range(g.gate.size))))
+            # first, then rest, is g; rest may be an identity
+            b[pos:pos + 1] = [GateInstance(first, g.wires),
+                              GateInstance(g.gate * first.inverse(), g.wires)]
+        elif edit == "replace" and b:
+            b[draw(st.integers(0, len(b) - 1))] = on(mixed_gate(draw, n_wires, 5))
+            kept = False
+        elif edit == "swap" and shared:
+            i = draw(st.sampled_from(shared))
+            b[i], b[i + 1] = b[i + 1], b[i]
+            kept = False
+        elif edit == "reorder" and b:
+            pos = draw(st.integers(0, len(b) - 1))
+            g = b[pos]
+            b[pos] = on(g.gate, tuple(draw(st.permutations(g.wires))))
+            kept = False
+    return Circuit(n_wires, a), Circuit(n_wires, b), kept
+
+
+def ref_equivalent(a: Circuit, b: Circuit) -> int | None:
+    """The two-circuit reference: simulate a and b in full and XOR their
+    wire ints for the first basis index they send to different images."""
+    start = circuit_module._patterns(a.n_wires)
+    ints = [circuit_module._wire_ints(
+                start, [(gi.gate.images, gi.wires) for gi in c.gates])
+            for c in (a, b)]
+    diff = reduce(operator.or_, map(operator.xor, *ints))
+    return (diff & -diff).bit_length() - 1 if diff else None
+
+
+def survivors(a: Circuit, b: Circuit) -> list:
+    """The (images, wires) pairs left of the reduced word a b^-1."""
+    return list(circuit_module._difference(a, b) or ())
+
+
+def word_circuit(n_wires: int, word) -> Circuit:
+    """The circuit of an (images, wires) word."""
+    return Circuit(n_wires, [GateInstance(Permutation(images), wires)
+                             for images, wires in word])
 
 
 def two_wire(*texts):
@@ -511,19 +593,110 @@ class TestCompiledGates:
 
         monkeypatch.setattr(circuit_module, "_anf_plan", counting)
         rng = random.Random(41)
-        a = random_circuit(rng, 6, 40)
-        # b repeats a's gates as new Permutation objects and adds its own
-        b = Circuit(6, [inst(Permutation(gi.gate.images), *gi.wires)
-                        for gi in a.gates]
-                    + list(random_circuit(rng, 6, 20).gates))
-        distinct = {gi.gate.images for gi in a.gates + b.gates}
+        # every gate touches wire 0 and no two neighbours share their wire
+        # tuple, so nothing of a b^-1 cancels, merges or commutes
+        tuples = [(0, 1), (1, 0), (0, 2), (2, 0), (0, 1, 2), (2, 0, 1)]
+        gates, last = [], None
+        for _ in range(60):
+            wires = rng.choice([t for t in tuples if t != last])
+            pool = [g for g in BUILTIN_GATES.values()
+                    if g.size == 2 ** len(wires)]
+            gate = rng.choice(pool) if rng.random() < 0.7 else \
+                Permutation(rng.sample(range(2 ** len(wires)),
+                                       2 ** len(wires)))
+            if gate.is_identity():
+                gate = pool[-1]
+            gates.append(inst(gate, *wires))
+            last = wires
+        # b repeats a's gates as new Permutation objects, then its own
+        a = Circuit(3, gates[:40])
+        b = Circuit(3, [inst(Permutation(gi.gate.images), *gi.wires)
+                        for gi in gates[:40]][::-1] + gates[40:])
+        assert a.gates[-1].wires != b.gates[-1].wires
+        assert len(survivors(a, b)) == len(a) + len(b)
+        # b enters a b^-1 inverted
+        distinct = ({gi.gate.images for gi in a.gates}
+                    | {gi.gate.inverse().images for gi in b.gates})
         assert len(distinct) < len(a) + len(b)  # the count is not trivial
-        equivalent(a, b)
+        first_index = equivalent(a, b)
         first = sorted(compiled)
         assert first == sorted(distinct)
         compiled.clear()
         equivalent(a, b)  # no plan outlived the first call
         assert sorted(compiled) == first
+        compiled.clear()
+        # a pair that cancels fully simulates, and compiles, nothing
+        assert equivalent(a, a) is None
+        assert equivalent(b, Circuit(3, b.gates)) is None
+        assert compiled == []
+        assert first_index == ref_equivalent(a, b) is not None
+
+
+class TestReducedDifference:
+    """equivalent reduces the word a b^-1 and simulates what is left."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(pair=edited_pairs())
+    def test_against_the_two_circuit_reference(self, pair):
+        a, b, kept = pair
+        n = a.n_wires
+        expected = ref_equivalent(a, b)
+        if n <= 7:
+            assert expected == next((x for x in range(2 ** n)
+                                     if propagate(a, x) != propagate(b, x)),
+                                    None)
+            # every reduction step keeps the permutation of a b^-1
+            word = word_circuit(n, survivors(a, b))
+            assert circuit_permutation(word) == \
+                circuit_permutation(b).inverse() * circuit_permutation(a)
+        assert equivalent(a, b) == expected
+        assert equivalent(b, a) == expected
+        if kept:
+            assert expected is None
+            assert survivors(a, b) == []
+            assert survivors(b, a) == []
+
+    def test_commuted_pair_compiles_nothing(self, monkeypatch):
+        def never(images):
+            raise AssertionError("a gate was simulated")
+
+        monkeypatch.setattr(circuit_module, "_anf_plan", never)
+        a = Circuit(3, [inst(CNOT, 0, 1), inst(X, 2), inst(CNOT, 0, 1)])
+        b = Circuit(3, [inst(X, 2)])
+        assert equivalent(a, b) is None
+        assert equivalent(b, a) is None
+
+    def test_wire_set_in_another_order(self):
+        a = Circuit(2, [inst(CNOT, 0, 1)])
+        b = Circuit(2, [inst(CNOT, 1, 0)])
+        assert ref_equivalent(a, b) == 1
+        assert equivalent(a, b) == 1
+        assert equivalent(b, a) == 1
+
+    def test_merges_in_order(self):
+        # two non-commuting 2-qubit gates: the product depends on the order
+        g, h = Permutation([1, 3, 2, 0]), Permutation([0, 2, 3, 1])
+        assert g * h != h * g
+        a = Circuit(2, [inst(g, 0, 1), inst(h, 0, 1)])
+        b = Circuit(2, [inst(h * g, 0, 1)])  # g, then h
+        assert equivalent(a, b) is None
+        assert survivors(a, b) == []
+        c = Circuit(2, [inst(g * h, 0, 1)])
+        assert equivalent(a, c) == ref_equivalent(a, c) is not None
+
+    def test_linear_work_past_long_blocks(self):
+        # each of b's chain gates finds its partner in a below a's block of
+        # 50 000 gates on other wires: a walk down past the block would take
+        # 2.5e9 steps
+        n = 50_000
+        chain = [inst(CNOT, *((0, 3) if i % 2 else (3, 0))) for i in range(n)]
+        block = [inst(CNOT, *((1, 2) if i % 2 else (2, 1))) for i in range(n)]
+        a = Circuit(4, chain + block)
+        b = Circuit(4, block + chain)
+        start = time.perf_counter()
+        assert equivalent(a, b) is None
+        assert equivalent(b, a) is None
+        assert time.perf_counter() - start < 10
 
 
 def rewritten(circuit, store, cancels=0):

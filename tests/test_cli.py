@@ -888,6 +888,31 @@ class TestOptimize:
                        "no output written\n")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("text, wrong", [
+        # two gates that share wire 0 do not commute
+        ("qubits 2\ngate CNOT 0 1\ngate X 0\n",
+         lambda gates: gates[::-1]),
+        # a merged run loses one of its gates
+        ("qubits 2\nperm (2,3,1,4) 0 1\nperm (2,3,1,4) 0 1\n",
+         lambda gates: gates[1:]),
+    ])
+    def test_guard_catches_a_wrong_reordering(self, capsys, tmp_path,
+                                              monkeypatch, text, wrong):
+        def bad(circ, store=None):
+            gates = wrong(circ.gates)
+            report = circuit.OptimizeReport(len(circ), len(gates), 0, 0)
+            return circuit.Circuit(circ.n_wires, gates), report
+
+        monkeypatch.setattr(circuit, "optimize", bad)
+        path, out_path = tmp_path / "c.circ", tmp_path / "o.circ"
+        path.write_text(text)
+        code, out, err = run(capsys, "optimize", "--circuit", str(path),
+                             "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == ("internal error: optimized circuit is not equivalent; "
+                       "no output written\n")
+        assert not out_path.exists()
+
     def test_missing_file_exit_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "optimize",
                            "--circuit", str(tmp_path / "nope.circ"),

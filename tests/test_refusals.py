@@ -224,24 +224,40 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+def run_capped(tmp_path, argv):
+    """The CLI in a child capped at 256 MB, beside two 30-wire circuits."""
+    (tmp_path / "wide.circ").write_text("qubits 30\ngate X 0\n")
+    (tmp_path / "other.circ").write_text("qubits 30\ngate X 1\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(permgate.__file__).resolve().parents[1]),
+        env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", CAPPED_CHILD, *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 @pytest.mark.parametrize("argv, code", [
     (["templates", "--dimension", "4611686018427387904", "--force",
       "--max-size", "2", "--out", "x.tmpl"], 1),
     (["enumerate", "--dimension", "3037000500", "--force",
       "--filter", "involution"], 1),
-    # verify's exit 1 means DIFFER, so its failures exit 2
-    (["verify", "--circuit", "wide.circ", "--circuit", "wide.circ",
+    # verify's exit 1 means DIFFER, so its failures exit 2; nothing of
+    # X 0, X 1 cancels, so all 2^30 basis indices are simulated
+    (["verify", "--circuit", "wide.circ", "--circuit", "other.circ",
       "--force"], 2),
 ])
 def test_forced_run_out_of_memory_is_one_error_line(tmp_path, argv, code):
-    (tmp_path / "wide.circ").write_text("qubits 30\ngate X 0\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(Path(permgate.__file__).resolve().parents[1]),
-        env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", CAPPED_CHILD, *argv],
-                          cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = run_capped(tmp_path, argv)
     assert_one_error_line((done.returncode, done.stdout, done.stderr), code)
     assert done.stderr == "error: out of memory\n"
     assert not (tmp_path / "x.tmpl").exists()
+
+
+def test_forced_wide_pair_that_cancels_is_verified(tmp_path):
+    # a b^-1 reduces to nothing, so no 2^30-bit wire int is built
+    done = run_capped(tmp_path, ["verify", "--circuit", "wide.circ",
+                                 "--circuit", "wide.circ", "--force"])
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (0, "EQUIVALENT\n", "")
+
