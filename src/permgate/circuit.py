@@ -36,7 +36,10 @@ optimize, their one caller, builds one Circuit.
 
 The reader parses each distinct line once per call, checking its wires as
 it goes; verify reads its two files in one call, so the second file's
-lines that the first already held cost one lookup each.
+lines that the first already held cost one lookup each.  Within a call it
+also reads each distinct wire token and each distinct `perm` notation
+once.  equivalent inverts each distinct gate object once per call, and
+format_circuit builds each distinct gate object's line head once per call.
 """
 
 from __future__ import annotations
@@ -238,21 +241,27 @@ def _difference(a: Circuit, b: Circuit
     a gate with its own images; only a merge that leaves a gate builds a
     product.
     """
-    inverses: dict = {}  # images -> _inverse(images), once per call
+    # id of a gate object -> (images, _inverse(images)), once per call; the
+    # circuits hold every gate, so no id is reused while the word is built
+    known: dict = {}
     images_of: list = []  # per gate of the word; None once removed
     wires_of: list = []
     on_wire = [[-1] for _ in range(a.n_wires)]  # -1: no gate below
     for inverted, gates in ((False, a.gates), (True, reversed(b.gates))):
         for inst in gates:
-            images = inst.gate.images
-            inv = inverses.get(images)
-            if inv is None:
-                inv = inverses[images] = _inverse(images)
+            pair = known.get(id(inst.gate))
+            if pair is None:
+                images = inst.gate.images
+                pair = known[id(inst.gate)] = images, _inverse(images)
+            images, inv = pair
             if not inv:  # an identity
                 continue
             gate, undo = (inv, images) if inverted else (images, inv)
             wires = inst.wires
-            at = max([on_wire[w][-1] for w in wires])
+            at = -1  # the latest live gate on these wires; no list is built
+            for w in wires:
+                if on_wire[w][-1] > at:
+                    at = on_wire[w][-1]
             if at >= 0 and wires_of[at] == wires:
                 if images_of[at] == undo:
                     images_of[at] = None
@@ -407,14 +416,17 @@ def optimize(
 
 
 def format_circuit(circuit: Circuit) -> str:
+    """The circuit's text; each distinct gate object's line head, `gate
+    NAME ` or `perm (...) `, is built once per call."""
     lines = [f"qubits {circuit.n_wires}"]
+    heads: dict[int, str] = {}  # id of a gate object the circuit holds -> head
     for inst in circuit.gates:
-        wires = " ".join(str(w) for w in inst.wires)
-        name = _BUILTIN_NAMES.get(inst.gate)
-        if name is not None:
-            lines.append(f"gate {name} {wires}")
-        else:
-            lines.append(f"perm {inst.gate.one_line()} {wires}")
+        head = heads.get(id(inst.gate))
+        if head is None:
+            name = _BUILTIN_NAMES.get(inst.gate)
+            head = heads[id(inst.gate)] = (f"gate {name} " if name is not None
+                                           else f"perm {inst.gate.one_line()} ")
+        lines.append(head + " ".join(map(str, inst.wires)))
     return "\n".join(lines) + "\n"
 
 
@@ -428,15 +440,34 @@ def parse_circuit(text: str, force: bool = False) -> Circuit:
     return _parse_circuits([text], force)[0]
 
 
+def _perm_fields(line: str) -> tuple[str, list[str]]:
+    """A `perm` line's notation, from the whitespace after the directive to
+    the first `)`, and the wire tokens after it."""
+    rest = line[4:].lstrip()
+    close = rest.find(")")
+    if not rest.startswith("(") or close < 0:
+        raise ValueError("missing one-line notation after 'perm'")
+    notation, after = rest[:close + 1], rest[close + 1:]
+    if after and not after[0].isspace():
+        raise ValueError("expected whitespace after the one-line notation")
+    return notation, after.split()
+
+
 def _parse_circuits(texts, force: bool) -> list[Circuit]:
     """parse_circuit of each text, in order, taking the next text only
     after the one before it parsed; every call starts a new memo, shared by
     all its texts, from each raw line to its checked instance (per wire
-    count) and from each one-line notation to its gate.  A line enters the
-    memo only once it has passed every check, so a memo hit is a line that
-    parses, and a line that fails is parsed, and named, as if alone."""
+    count), from each one-line notation to its gate and from each wire
+    token to its int.  A line enters the memo only once it has passed every
+    check, so a memo hit is a line that parses, and a line that fails is
+    parsed, and named, as if alone; a token enters it only once _int has
+    read it, and the token's range is checked per line at each width.  A
+    `perm` line's second field is its notation when it opens with `(` and
+    its one `)` closes it; any other `perm` line goes to _perm_fields."""
     known_by_width: dict[int, dict[str, GateInstance]] = {}
     inline: dict[str, Permutation] = {}
+    ints: dict[str, int] = {}  # wire token -> its int; the range is per width
+    wire_of = ints.__getitem__
     circuits = []
     for text in texts:
         header = None  # the 'qubits' line's circuit; it takes the gates
@@ -463,24 +494,27 @@ def _parse_circuits(texts, force: bool) -> list[Circuit]:
                             raise ValueError(f"unknown gate {fields[1]!r}")
                         gate, tokens = BUILTIN_GATES[fields[1]], fields[2:]
                     elif fields[0] == "perm":
-                        rest = line[4:].lstrip()  # whitespace, then the notation
-                        close = rest.find(")")
-                        if not rest.startswith("(") or close < 0:
-                            raise ValueError("missing one-line notation after 'perm'")
-                        notation, after = rest[:close + 1], rest[close + 1:]
-                        if after and not after[0].isspace():
-                            raise ValueError("expected whitespace after the "
-                                             "one-line notation")
+                        notation = fields[1] if len(fields) > 1 else ""
+                        if notation.startswith("(") and \
+                                notation.find(")") == len(notation) - 1:
+                            tokens = fields[2:]  # as _perm_fields reads it
+                        else:
+                            notation, tokens = _perm_fields(line)
                         gate = inline.get(notation)
                         if gate is None:  # its size is refused before its wires
                             gate = Permutation.from_one_line(notation)
                             _qubits(gate)
                             inline[notation] = gate
-                        tokens = after.split()
                     else:
                         raise ValueError(f"unknown directive {fields[0]!r}")
-                    inst = GateInstance(
-                        gate, tuple(_int(t, "wire index") for t in tokens))
+                    try:
+                        wires = tuple(map(wire_of, tokens))
+                    except KeyError:  # read each new token; a bad one raises
+                        for t in tokens:
+                            if t not in ints:
+                                ints[t] = _int(t, "wire index")
+                        wires = tuple(map(wire_of, tokens))
+                    inst = GateInstance(gate, wires)
                     header._check_wires(inst.wires)
                 except (PermGateError, ValueError) as exc:
                     raise FileFormatError(lineno, str(exc)) from None

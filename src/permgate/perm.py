@@ -18,7 +18,8 @@ from typing import Iterable, Iterator
 import itertools
 import sys
 
-from .errors import DimensionError, NotationError, _is_digits, check_cap
+from .errors import (_MAX_DIGITS, DimensionError, NotationError, _is_digits,
+                     check_cap)
 
 # 12! is about 4.8e8; anything above that is refused without an override.
 ENUMERATION_CAP = 12
@@ -53,16 +54,30 @@ class Permutation:
 
         Whitespace around entries is tolerated.  Raises NotationError naming
         the offending token on duplicates, out-of-range entries, or syntax
-        errors.
+        errors.  A notation of bare ASCII digits between commas is checked
+        in bulk; the per-token loop runs only for one that fails that check,
+        to read entries with whitespace around them or to name the first bad
+        token.
         """
         s = text.strip()
         if not (s.startswith("(") and s.endswith(")")):
             raise NotationError(f"expected parenthesized list, got {text!r}")
-        body = s[1:-1]
-        tokens = [t.strip() for t in body.split(",")]
+        tokens = s[1:-1].split(",")
+        size = len(tokens)
+        # _is_digits of every token at once, then entries that are 1..size
+        if (s.isascii() and "".join(tokens).isdigit() and "" not in tokens
+                and (len(s) <= _MAX_DIGITS or max(map(len, tokens)) <= _MAX_DIGITS)):
+            entries = list(map(int, tokens))
+            if sorted(entries) == list(range(1, size + 1)):
+                images = [0] * size
+                for pos, entry in enumerate(entries):
+                    images[entry - 1] = pos
+                perm = object.__new__(cls)  # a bijection: no second check
+                perm._images = tuple(images)
+                return perm
+        tokens = [t.strip() for t in tokens]
         if tokens == [""]:
             raise NotationError("empty one-line notation '()'")
-        size = len(tokens)
         images = [-1] * size
         for pos, tok in enumerate(tokens):
             if not _is_digits(tok):

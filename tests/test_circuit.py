@@ -1019,6 +1019,23 @@ class TestCircuitFiles:
         assert format_circuit(c) == \
             "qubits 2\ngate CNOT 0 1\nperm (4,1,3,2) 1 0\n"
 
+    def test_each_gate_objects_head_is_built_once(self, monkeypatch):
+        twin = Permutation(B_GATE.images)  # equal to B_GATE, another object
+        c = Circuit(3, [inst(B_GATE, 1, 0), inst(CNOT, 0, 2), inst(B_GATE, 2, 1),
+                        inst(twin, 0, 1), inst(B_GATE, 1, 0)])
+        rendered = []
+        one_line = Permutation.one_line
+
+        def counted_one_line(self):
+            rendered.append(self)
+            return one_line(self)
+
+        monkeypatch.setattr(Permutation, "one_line", counted_one_line)
+        assert format_circuit(c) == (
+            "qubits 3\nperm (4,1,3,2) 1 0\ngate CNOT 0 2\nperm (4,1,3,2) 2 1\n"
+            "perm (4,1,3,2) 0 1\nperm (4,1,3,2) 1 0\n")
+        assert len(rendered) == 2  # B_GATE and its twin, once each
+
     def test_comments_and_blanks(self):
         text = ("# a circuit\n"
                 "qubits 2\n"

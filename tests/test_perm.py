@@ -2,9 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permgate.counting import involution_count
-from permgate.errors import CapExceeded, DimensionError, NotationError
+from permgate.errors import (_MAX_DIGITS, CapExceeded, DimensionError,
+                             NotationError)
 from permgate.perm import Permutation, enumerate_permutations, involutions
 
 
@@ -157,6 +160,83 @@ class TestOneLineNotation:
         # entry 2 at position 1 means input index 1 -> output index 0
         p = Permutation.from_one_line("(2,1,3,4)")
         assert p(1) == 0 and p(0) == 1
+
+
+def per_token_from_one_line(text):
+    """The images from_one_line gives, read by its per-token loop alone."""
+    s = text.strip()
+    if not (s.startswith("(") and s.endswith(")")):
+        raise NotationError(f"expected parenthesized list, got {text!r}")
+    tokens = [t.strip() for t in s[1:-1].split(",")]
+    if tokens == [""]:
+        raise NotationError("empty one-line notation '()'")
+    images = [-1] * len(tokens)
+    for pos, tok in enumerate(tokens):
+        if not (tok.isascii() and tok.isdigit() and len(tok) <= _MAX_DIGITS):
+            raise NotationError(f"expected positive integer, got {tok!r}")
+        entry = int(tok)
+        if not 1 <= entry <= len(tokens):
+            raise NotationError(f"entry {tok!r} out of range 1..{len(tokens)}")
+        if images[entry - 1] != -1:
+            raise NotationError(f"duplicate entry {tok!r}")
+        images[entry - 1] = pos
+    return tuple(images)
+
+
+# entries no notation of up to 9 points holds as they stand
+ODD_ENTRIES = ["", "0", "+1", "1_0", "-1", "x", "1 0", "\u00b2", "\uff11",
+               "\u0662", "1" * _MAX_DIGITS, "1" * (_MAX_DIGITS + 1),
+               "0" * (_MAX_DIGITS - 1) + "1", "0" * _MAX_DIGITS + "1"]
+
+
+@st.composite
+def notations(draw):
+    """One-line notation of 1-9 points, perhaps with duplicate, out-of-range
+    or malformed entries, spaces around entries, or a missing parenthesis."""
+    m = draw(st.integers(1, 9))
+    entries = [str(e) for e in draw(st.permutations(range(1, m + 1)))]
+    for _ in range(draw(st.integers(0, 2))):
+        entries[draw(st.integers(0, m - 1))] = draw(st.one_of(
+            st.sampled_from(ODD_ENTRIES),
+            # leading zeros, duplicates and entries past the size
+            st.builds(lambda zeros, k: "0" * zeros + str(k),
+                      st.integers(0, 2), st.integers(0, m + 2))))
+    space = st.sampled_from(["", "", " ", "\t", " \u3000"])
+    if draw(st.booleans()):
+        entries = [draw(space) + e + draw(space) for e in entries]
+    left, right = draw(st.sampled_from(
+        [("(", ")")] * 6 + [(" (", ") "), ("", ")"), ("(", ""), ("", ""),
+                            ("((", ")"), ("(", "))")]))
+    return left + ",".join(entries) + right
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(notations())
+@example("(1,,2)")
+@example(" ( 2 , 1 ) ")
+@example("(02,+1)")
+@example("(2,1_0)")
+@example("(\u00b2,1)")
+@example("(\uff11,2)")
+@example("(1,\u0662)")
+@example(f"({'0' * (_MAX_DIGITS - 1)}2,1)")
+@example(f"({'0' * _MAX_DIGITS}2,1)")
+@example("(2,1,1)")
+@example("(3,1)")
+@example("2,1")
+@example("()")
+def test_from_one_line_agrees_with_the_per_token_loop(text):
+    """The bulk check gives the loop's images, or the loop's error text."""
+    try:
+        want = per_token_from_one_line(text)
+    except NotationError as exc:
+        with pytest.raises(NotationError) as info:
+            Permutation.from_one_line(text)
+        assert str(info.value) == str(exc)
+    else:
+        got = Permutation.from_one_line(text)
+        assert got.images == want
+        assert got == Permutation(want) and hash(got) == hash(Permutation(want))
 
 
 class TestEnumerate:

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from permgate import circuit
 from permgate.circuit import (BUILTIN_GATES, GateInstance, _parse_circuits,
                               equivalent, parse_circuit)
 from permgate.cli import main
@@ -420,9 +421,28 @@ def verify_as_two_loads(a, b):
     return 1, "DIFFER\n", f"first differing basis index: {first}\n"
 
 
+# texts the wire-token memo must read as if it kept nothing, and the error
+# (text, line) each gives
+TOKEN_MEMO_CASES = [
+    # two token texts for one wire
+    (("qubits 2\ngate CNOT 1 0\ngate CNOT 01 1\n", "qubits 2\n"),
+     ("line 3: repeated wire in (1, 1)", 3)),
+    # a bad token after lines whose tokens the memo holds
+    (("qubits 3\ngate CNOT 0 1\ngate TOFFOLI 0 1 x\n", "qubits 3\n"),
+     ("line 3: bad wire index 'x'", 3)),
+    # a token of the wider first file, out of range in the second
+    (("qubits 3\ngate X 2\n", "qubits 2\ngate CNOT 0 2\n"),
+     ("line 2: wire 2 out of range 0..1", 2)),
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(text_pairs())
 @example(("qubits 3\ngate X 2\n", "qubits 2\ngate X 2\n"))
+@example(TOKEN_MEMO_CASES[0][0])
+@example(TOKEN_MEMO_CASES[1][0])
+@example(TOKEN_MEMO_CASES[2][0])
+@example(("qubits 1\nperm (2,1) 0\n", "qubits 1\nperm ( 2 , 1 ) 0\n"))
 def test_a_shared_line_memo_reads_as_two_separate_parses(pair):
     alone = [parsed(parse_circuit, text) for text in pair]
     errors = [got for got in alone if isinstance(got, tuple)]
@@ -463,6 +483,53 @@ def test_the_line_memo_lasts_one_call(tmp_path, monkeypatch):
                        str(path)) == (0, "EQUIVALENT\n", "")
         assert len(made) == calls * len(set(body))
         assert sorted(notations) == sorted(["(2,1)", "(1,2,4,3)"] * calls)
+
+
+@pytest.mark.parametrize("pair, err", TOKEN_MEMO_CASES)
+def test_the_token_memo_changes_no_error(pair, err):
+    assert parsed(_parse_circuits, pair, False) == err
+
+
+def test_a_notation_with_inner_spaces_is_read_by_the_scan():
+    assert parse_circuit("qubits 1\nperm ( 2 , 1 ) 0\n") == \
+        parse_circuit("qubits 1\ngate X 0\n")
+    with pytest.raises(FileFormatError,
+                       match="^line 2: expected whitespace after the one-line "
+                             "notation$"):
+        parse_circuit("qubits 1\nperm ( 2 , 1 )0\n")
+
+
+def test_each_token_and_inverse_once_per_call(tmp_path, monkeypatch):
+    """verify of a file with itself reads each distinct wire-token text, and
+    inverts each distinct gate object, once; a second verify in the same
+    process does both again."""
+    path = tmp_path / "c.circ"
+    body = ["gate CNOT 0 1", "gate CNOT 1 0", "perm (2,1) 2", "gate X 00",
+            "gate TOFFOLI 2 1 0", "perm (1,2,4,3) 2 1", "perm (2,1) 0",
+            "gate X 0", "gate CNOT 0 1"]
+    path.write_text("\n".join(["qubits 3"] + body) + "\n")
+    a, b = _parse_circuits([path.read_text()] * 2, False)
+    gates = {id(inst.gate) for inst in a.gates + b.gates}
+    assert len(gates) == 5  # CNOT, X, TOFFOLI and two inline gates
+    tokens, inverted = [], []
+    read, invert = circuit._int, circuit._inverse
+
+    def counted_int(token, what):
+        if what == "wire index":
+            tokens.append(token)
+        return read(token, what)
+
+    def counted_inverse(images):
+        inverted.append(images)
+        return invert(images)
+
+    monkeypatch.setattr(circuit, "_int", counted_int)
+    monkeypatch.setattr(circuit, "_inverse", counted_inverse)
+    for calls in (1, 2):
+        assert run_cli("verify", "--circuit", str(path), "--circuit",
+                       str(path)) == (0, "EQUIVALENT\n", "")
+        assert sorted(tokens) == sorted(["0", "1", "2", "00"] * calls)
+        assert len(inverted) == calls * len(gates)
 
 
 def test_verify_parses_the_first_file_before_opening_the_second(tmp_path):
